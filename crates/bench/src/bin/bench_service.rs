@@ -65,8 +65,8 @@ use depcase::assurance::templates::{stamp, TEMPLATE_COUNT};
 use depcase::prelude::*;
 use depcase_service::protocol::{Json, Request};
 use depcase_service::{
-    Client, DurabilityConfig, Engine, EngineConfig, FaultPlan, FaultyIo, FsyncPolicy, IoModel,
-    RealIo, RetryPolicy, RetryingClient, Server, ServerConfig, StorageIo, DEFAULT_SHARDS,
+    Client, DurabilityConfig, Engine, EngineConfig, FaultPlan, FaultyIo, FsyncPolicy, RealIo,
+    RetryPolicy, RetryingClient, Server, ServerConfig, StorageIo, DEFAULT_SHARDS,
 };
 use serde::{Serialize, Value};
 use std::io::{BufRead, BufReader, Write};
@@ -192,12 +192,7 @@ fn eval_latencies(client: &mut Client, n: usize) -> Vec<u64> {
 /// open. Returns the report block.
 fn concurrency_run(workers: usize, conns: usize) -> Value {
     let engine = Arc::new(Engine::new(16));
-    let config = ServerConfig {
-        workers,
-        max_connections: conns + 16,
-        io: IoModel::Epoll,
-        ..ServerConfig::default()
-    };
+    let config = ServerConfig { workers, max_connections: conns + 16, ..ServerConfig::default() };
     let server =
         Server::start(Arc::clone(&engine), ("127.0.0.1", 0), config).expect("bind localhost");
     let addr = server.local_addr();

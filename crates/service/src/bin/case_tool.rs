@@ -8,7 +8,7 @@
 //! case_tool demo                 # print a sample case.json to start from
 //! case_tool stamp TEMPLATE COUNT  # NDJSON load lines for COUNT stamped
 //!                                 # variants of template TEMPLATE (0..9)
-//! case_tool serve [--addr HOST:PORT] [--stdio] [--io epoll|threads]
+//! case_tool serve [--addr HOST:PORT] [--stdio]
 //!                 [--workers N] [--cache N] [--shards N] [--memo-cap N]
 //!                 [--queue N] [--conns N]
 //!                 [--deadline MS] [--drain MS] [--faults SPEC]
@@ -19,15 +19,13 @@
 //!
 //! `serve` speaks newline-delimited JSON (see the `depcase-service`
 //! crate docs for the protocol) on a localhost TCP listener, or on
-//! stdin/stdout with `--stdio`. `--io` picks the TCP transport: the
-//! default `epoll` multiplexes every connection onto one
-//! readiness-driven I/O thread (thousands of mostly-idle connections);
-//! `threads` is the classic two-threads-per-connection model. `--queue`
-//! bounds the job queue (overflow answers `overloaded`), `--conns` caps
-//! concurrent connections, `--deadline` sets the default per-request
-//! budget, `--drain` bounds how long shutdown waits for queued work,
-//! and `--faults` enables deterministic fault injection from a spec
-//! like `seed=42,panic=0.05,delay=0.1,delay_ms=20,drop=0.02` (see
+//! stdin/stdout with `--stdio`; one readiness-driven `epoll` I/O thread
+//! multiplexes every TCP connection. `--queue` bounds the job queue
+//! (overflow answers `overloaded`), `--conns` caps concurrent
+//! connections, `--deadline` sets the default per-request budget,
+//! `--drain` bounds how long shutdown waits for queued work, and
+//! `--faults` enables deterministic fault injection from a spec like
+//! `seed=42,panic=0.05,delay=0.1,delay_ms=20,drop=0.02` (see
 //! [`depcase_service::FaultPlan`]).
 //!
 //! `--data-dir` makes the registry durable: every acked `load`/`edit`
@@ -67,7 +65,7 @@
 use depcase::assurance::{importance, templates, Case};
 use depcase_service::{
     serve_stdio_with, DurabilityConfig, Engine, EngineConfig, FaultPlan, FaultyIo, FsyncPolicy,
-    IoModel, RealIo, Server, ServerConfig, StorageIo,
+    RealIo, Server, ServerConfig, StorageIo,
 };
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -103,13 +101,6 @@ fn serve(args: &[String]) -> Result<(), String> {
             "--stdio" => stdio = true,
             "--addr" => {
                 addr = it.next().ok_or("--addr needs HOST:PORT")?.clone();
-            }
-            "--io" => {
-                config.io = match it.next().map(String::as_str) {
-                    Some("epoll") => IoModel::Epoll,
-                    Some("threads") => IoModel::Threads,
-                    _ => return Err("--io needs epoll|threads".into()),
-                };
             }
             "--workers" => config.workers = int_flag("--workers", &mut it)? as usize,
             "--cache" => engine_config.cache_capacity = int_flag("--cache", &mut it)? as usize,
@@ -198,12 +189,8 @@ fn serve(args: &[String]) -> Result<(), String> {
         return Ok(());
     }
     eprintln!(
-        "case_tool serve: {} io, {} workers, plan cache {} over {} shards, memo store {}, \
+        "case_tool serve: epoll io, {} workers, plan cache {} over {} shards, memo store {}, \
          queue {}, conns {}{}{}{}{}{}{}{}",
-        match config.io {
-            IoModel::Epoll => "epoll",
-            IoModel::Threads => "threads",
-        },
         config.workers,
         engine_config.cache_capacity,
         engine.shard_count(),
@@ -307,7 +294,7 @@ fn run() -> Result<(), String> {
         Some("stamp") => stamp(&args[1..]),
         Some("serve") => serve(&args[1..]),
         _ => Err(
-            "usage: case_tool {eval|dot|rank} <case.json> | case_tool demo | case_tool stamp {TEMPLATE|all} COUNT [--eval] | case_tool serve [--addr HOST:PORT|--stdio] [--io epoll|threads] [--workers N] [--cache N] [--shards N] [--memo-cap N] [--queue N] [--conns N] [--deadline MS] [--drain MS] [--faults SPEC] [--data-dir PATH] [--fsync always|never] [--snapshot-every N] [--storage-faults SPEC] [--trace-dir DIR] [--slow-ms MS] [--no-trace]"
+            "usage: case_tool {eval|dot|rank} <case.json> | case_tool demo | case_tool stamp {TEMPLATE|all} COUNT [--eval] | case_tool serve [--addr HOST:PORT|--stdio] [--workers N] [--cache N] [--shards N] [--memo-cap N] [--queue N] [--conns N] [--deadline MS] [--drain MS] [--faults SPEC] [--data-dir PATH] [--fsync always|never] [--snapshot-every N] [--storage-faults SPEC] [--trace-dir DIR] [--slow-ms MS] [--no-trace]"
                 .into(),
         ),
     }

@@ -1,34 +1,31 @@
 //! Readiness-driven TCP transport: one I/O thread multiplexes every
-//! connection through `epoll`, in front of the same worker pool the
-//! thread-per-connection transport uses.
-//!
-//! The thread-per-connection model ([`crate::server`], `--io threads`)
-//! spends two OS threads per connection (reader + writer) — fine for
-//! tens of clients, hopeless for thousands of mostly-idle monitoring
-//! sessions. This module replaces the transport layer only:
+//! connection through `epoll`, in front of the worker pool in
+//! [`crate::server`], so thousands of mostly-idle monitoring sessions
+//! cost no threads of their own:
 //!
 //! - **One I/O thread** owns the listener, every connection socket,
 //!   and the epoll instance. Nothing else touches a socket.
 //! - **Non-blocking sockets, edge-triggered wakeups.** Each readiness
 //!   edge drains the socket to `WouldBlock` (reads) or empties the
 //!   write buffer (writes), the invariant edge-triggering requires.
-//! - **Per-connection buffers.** Bytes accumulate in a read buffer
-//!   until a full NDJSON line is framed; responses queue in arrival
-//!   order (FIFO per connection, exactly like the threaded writer) and
-//!   flush as the socket accepts them.
-//! - **The worker pool is unchanged.** Framed lines become [`Job`]s on
+//! - **Per-connection buffers.** Bytes accumulate in a
+//!   [`LineFramer`] until a full NDJSON line is framed; responses queue
+//!   in arrival order (FIFO per connection) and flush as the socket
+//!   accepts them.
+//! - **Workers never touch sockets.** Framed lines become [`Job`]s on
 //!   the shared queue; workers execute them and deposit the response
 //!   into the connection's reply slot, then wake the I/O thread over a
 //!   socketpair (the classic self-pipe pattern — `epoll_wait` cannot
 //!   watch a condvar).
 //!
-//! Robustness semantics match the threaded transport: connection cap
-//! and queue overflow answer `overloaded`, oversized lines answer
-//! `request_too_large` without killing the connection, idle
-//! connections are reaped after `read_timeout`, a client that stops
-//! draining responses is disconnected once its write buffer passes a
-//! bound, and shutdown stops reading, flushes what it can inside
-//! `drain_deadline`, and exits.
+//! Robustness: the connection cap and queue overflow answer
+//! `overloaded`, oversized lines answer `request_too_large` without
+//! killing the connection, a final line without its newline is still
+//! answered when the client half-closes, idle connections are reaped
+//! after `read_timeout`, a client that stops draining responses is
+//! disconnected once its write buffer passes a bound, and shutdown
+//! stops reading, flushes what it can inside `drain_deadline`, and
+//! exits.
 //!
 //! The container has no crates.io access, so the four syscalls epoll
 //! needs are declared by hand below — the only unsafe code in the
@@ -38,8 +35,9 @@
 
 use crate::lock_unpoisoned;
 use crate::protocol::{self, ErrorCode, WireError};
-use crate::server::{Job, Reply, Shared};
+use crate::server::{too_large_line, Frame, Job, LineFramer, Shared};
 use crate::stats::RobustnessEvent;
+use crate::trace::TraceBuilder;
 use std::collections::{HashMap, VecDeque};
 use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream};
@@ -146,14 +144,21 @@ impl Drop for Epoll {
     }
 }
 
-/// Where a worker deposits one response for the I/O thread to flush.
+/// Where a worker deposits one response, with the request's trace still
+/// open in its `reply_flush` span, for the I/O thread to flush; the
+/// I/O thread finalizes the trace once the response bytes have actually
+/// been written to the socket.
 #[derive(Debug, Default)]
-pub(crate) struct ReplySlot {
-    pub(crate) response: Mutex<Option<String>>,
-    /// The request's trace, still open in its `reply_flush` span; the
-    /// I/O thread finalizes it once the response bytes have actually
-    /// been written to the socket (always set before `response`).
-    pub(crate) trace: Mutex<Option<Box<crate::trace::TraceBuilder>>>,
+pub(crate) struct ReplySlot(Mutex<Option<(String, Option<Box<TraceBuilder>>)>>);
+
+impl ReplySlot {
+    pub(crate) fn fill(&self, response: String, trace: Option<Box<TraceBuilder>>) {
+        *lock_unpoisoned(&self.0) = Some((response, trace));
+    }
+
+    fn take(&self) -> Option<(String, Option<Box<TraceBuilder>>)> {
+        lock_unpoisoned(&self.0).take()
+    }
 }
 
 /// Wakes the I/O thread when a reply slot fills: the completed
@@ -162,26 +167,36 @@ pub(crate) struct ReplySlot {
 #[derive(Debug)]
 pub(crate) struct Notifier {
     dirty: Mutex<Vec<u64>>,
-    wake: UnixStream,
+    wake_tx: UnixStream,
+    wake_rx: UnixStream,
 }
 
 impl Notifier {
+    pub(crate) fn new() -> io::Result<Notifier> {
+        let (wake_tx, wake_rx) = UnixStream::pair()?;
+        wake_tx.set_nonblocking(true)?;
+        wake_rx.set_nonblocking(true)?;
+        Ok(Notifier { dirty: Mutex::new(Vec::new()), wake_tx, wake_rx })
+    }
+
     pub(crate) fn notify(&self, token: u64) {
         lock_unpoisoned(&self.dirty).push(token);
         // A full pipe means a wake is already pending — dropping the
         // byte is correct, the dirty list carries the real signal.
-        let _ = (&self.wake).write(&[1]);
+        let _ = (&self.wake_tx).write(&[1]);
     }
 
+    /// Consumes the pending wake bytes and returns the dirty tokens.
     fn take_dirty(&self) -> Vec<u64> {
+        let mut sink = [0u8; 256];
+        while matches!((&self.wake_rx).read(&mut sink), Ok(n) if n > 0) {}
         std::mem::take(&mut *lock_unpoisoned(&self.dirty))
     }
 }
 
 /// Bound on buffered-but-unsent response bytes per connection: a client
 /// that stops reading is disconnected rather than growing the buffer
-/// without limit (the readiness-loop analogue of the threaded
-/// transport's socket write timeout).
+/// without limit.
 const WRITE_BUF_CAP: usize = 4 << 20;
 
 const LISTENER_TOKEN: u64 = 0;
@@ -200,12 +215,7 @@ const REAP_SWEEP: Duration = Duration::from_millis(250);
 /// of replies being computed or flushed.
 struct Conn {
     stream: TcpStream,
-    read_buf: Vec<u8>,
-    /// Prefix of `read_buf` already scanned for a newline.
-    scanned: usize,
-    /// Inside an oversized line: discard until the next newline, then
-    /// answer `request_too_large`.
-    overflowed: bool,
+    framer: LineFramer,
     write_buf: Vec<u8>,
     /// Prefix of `write_buf` already written to the socket.
     written: usize,
@@ -216,19 +226,17 @@ struct Conn {
     /// buffer offset its response ends at; finalized once `written`
     /// passes that watermark — i.e. once the bytes are with the kernel,
     /// so `reply_flush` covers real socket time, not just queueing.
-    trace_marks: VecDeque<(usize, Box<crate::trace::TraceBuilder>)>,
+    trace_marks: VecDeque<(usize, Box<TraceBuilder>)>,
     last_activity: Instant,
     /// Peer closed its sending half; flush what we owe, then drop.
     peer_closed: bool,
 }
 
 impl Conn {
-    fn new(stream: TcpStream) -> Conn {
+    fn new(stream: TcpStream, max_line_bytes: usize) -> Conn {
         Conn {
             stream,
-            read_buf: Vec::new(),
-            scanned: 0,
-            overflowed: false,
+            framer: LineFramer::new(max_line_bytes),
             write_buf: Vec::new(),
             written: 0,
             pending: VecDeque::new(),
@@ -254,16 +262,12 @@ enum ConnState {
 /// `abort` cuts it short). Owns the listener, every connection, and
 /// the epoll instance; returns only at shutdown or on a fatal epoll
 /// error (socket-level errors only ever kill their own connection).
-pub(crate) fn run(listener: &TcpListener, shared: &Arc<Shared>) -> io::Result<()> {
+pub(crate) fn run(listener: &TcpListener, shared: &Shared) -> io::Result<()> {
     let ep = Epoll::new()?;
     listener.set_nonblocking(true)?;
     ep.add(listener.as_raw_fd(), LISTENER_TOKEN, sys::EPOLLIN)?;
-
-    let (wake_tx, wake_rx) = UnixStream::pair()?;
-    wake_tx.set_nonblocking(true)?;
-    wake_rx.set_nonblocking(true)?;
-    ep.add(wake_rx.as_raw_fd(), WAKE_TOKEN, sys::EPOLLIN | sys::EPOLLET)?;
-    let notifier = Arc::new(Notifier { dirty: Mutex::new(Vec::new()), wake: wake_tx });
+    let notifier = &shared.notifier;
+    ep.add(notifier.wake_rx.as_raw_fd(), WAKE_TOKEN, sys::EPOLLIN | sys::EPOLLET)?;
 
     let mut conns: HashMap<u64, Conn> = HashMap::new();
     let mut next_token = FIRST_CONN_TOKEN;
@@ -282,7 +286,6 @@ pub(crate) fn run(listener: &TcpListener, shared: &Arc<Shared>) -> io::Result<()
                     accept_ready(listener, &ep, shared, &mut conns, &mut next_token, shutting_down);
                 }
                 WAKE_TOKEN => {
-                    drain_wake(&wake_rx);
                     for token in notifier.take_dirty() {
                         let Some(conn) = conns.get_mut(&token) else { continue };
                         if matches!(flush(conn, shared), ConnState::Close) {
@@ -300,7 +303,7 @@ pub(crate) fn run(listener: &TcpListener, shared: &Arc<Shared>) -> io::Result<()
                             conn.peer_closed = true;
                         }
                         if mask & sys::EPOLLIN != 0 && !shutting_down {
-                            state = read_ready(conn, token, shared, &notifier);
+                            state = read_ready(conn, token, shared);
                         }
                         if matches!(state, ConnState::Keep) && mask & sys::EPOLLOUT != 0 {
                             state = flush(conn, shared);
@@ -355,7 +358,7 @@ pub(crate) fn run(listener: &TcpListener, shared: &Arc<Shared>) -> io::Result<()
 fn accept_ready(
     listener: &TcpListener,
     ep: &Epoll,
-    shared: &Arc<Shared>,
+    shared: &Shared,
     conns: &mut HashMap<u64, Conn>,
     next_token: &mut u64,
     shutting_down: bool,
@@ -377,7 +380,7 @@ fn accept_ready(
                 *next_token += 1;
                 let interest = sys::EPOLLIN | sys::EPOLLOUT | sys::EPOLLRDHUP | sys::EPOLLET;
                 if ep.add(stream.as_raw_fd(), token, interest).is_ok() {
-                    conns.insert(token, Conn::new(stream));
+                    conns.insert(token, Conn::new(stream, shared.config.max_line_bytes));
                 }
             }
             Err(e) if e.kind() == io::ErrorKind::WouldBlock => return,
@@ -388,7 +391,7 @@ fn accept_ready(
 }
 
 /// One `overloaded` line, best effort, then the socket drops.
-fn refuse_connection(stream: &TcpStream, shared: &Arc<Shared>) {
+fn refuse_connection(stream: &TcpStream, shared: &Shared) {
     let refused = Instant::now();
     let err = WireError::new(
         ErrorCode::Overloaded,
@@ -401,96 +404,42 @@ fn refuse_connection(stream: &TcpStream, shared: &Arc<Shared>) {
     shared.engine.note_rejection(RobustnessEvent::Overloaded, refused.elapsed());
 }
 
-fn drain_wake(wake_rx: &UnixStream) {
-    let mut sink = [0u8; 256];
-    while matches!((&mut { wake_rx }).read(&mut sink), Ok(n) if n > 0) {}
-}
-
 /// Drains the socket (edge-triggered contract), frames complete lines,
 /// and enqueues them on the worker pool.
-fn read_ready(
-    conn: &mut Conn,
-    token: u64,
-    shared: &Arc<Shared>,
-    notifier: &Arc<Notifier>,
-) -> ConnState {
+fn read_ready(conn: &mut Conn, token: u64, shared: &Shared) -> ConnState {
     conn.last_activity = Instant::now();
     let mut chunk = [0u8; 16 * 1024];
+    let mut eof = false;
     loop {
         match (&mut &conn.stream).read(&mut chunk) {
             Ok(0) => {
                 conn.peer_closed = true;
+                eof = true;
                 break;
             }
-            Ok(n) => conn.read_buf.extend_from_slice(&chunk[..n]),
+            Ok(n) => conn.framer.extend(&chunk[..n]),
             Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
             Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
             Err(_) => return ConnState::Close,
         }
     }
-    if matches!(process_lines(conn, token, shared, notifier), ConnState::Close) {
-        return ConnState::Close;
+    while let Some(frame) = conn.framer.next_frame(eof) {
+        match frame {
+            Frame::Line(line) => {
+                if matches!(dispatch_line(conn, token, line, shared), ConnState::Close) {
+                    return ConnState::Close;
+                }
+            }
+            Frame::TooLong => answer_too_large(conn, shared),
+        }
     }
     // EOF still owes the client every response already in flight.
     flush(conn, shared)
 }
 
-/// Splits the read buffer into NDJSON lines and dispatches each one.
-fn process_lines(
-    conn: &mut Conn,
-    token: u64,
-    shared: &Arc<Shared>,
-    notifier: &Arc<Notifier>,
-) -> ConnState {
-    let max = shared.config.max_line_bytes;
-    loop {
-        match conn.read_buf[conn.scanned..].iter().position(|&b| b == b'\n') {
-            Some(offset) => {
-                let end = conn.scanned + offset;
-                let line = String::from_utf8_lossy(&conn.read_buf[..end]).into_owned();
-                conn.read_buf.drain(..=end);
-                conn.scanned = 0;
-                if std::mem::take(&mut conn.overflowed) {
-                    // The tail of a line whose head was already
-                    // discarded: answer the rejection and move on.
-                    answer_too_large(conn, shared);
-                    continue;
-                }
-                if line.len() > max {
-                    answer_too_large(conn, shared);
-                    continue;
-                }
-                if matches!(dispatch_line(conn, token, line, shared, notifier), ConnState::Close) {
-                    return ConnState::Close;
-                }
-            }
-            None => {
-                conn.scanned = conn.read_buf.len();
-                if conn.scanned > max && !conn.overflowed {
-                    // Stop buffering a hostile line; remember to answer
-                    // `request_too_large` when its newline arrives.
-                    conn.overflowed = true;
-                }
-                if conn.overflowed {
-                    conn.read_buf.clear();
-                    conn.read_buf.shrink_to_fit();
-                    conn.scanned = 0;
-                }
-                return ConnState::Keep;
-            }
-        }
-    }
-}
-
 /// Queues one framed line on the worker pool (or answers the shed /
 /// fault-injection outcome in place).
-fn dispatch_line(
-    conn: &mut Conn,
-    token: u64,
-    line: String,
-    shared: &Arc<Shared>,
-    notifier: &Arc<Notifier>,
-) -> ConnState {
+fn dispatch_line(conn: &mut Conn, token: u64, line: String, shared: &Shared) -> ConnState {
     if line.trim().is_empty() {
         return ConnState::Keep;
     }
@@ -501,8 +450,7 @@ fn dispatch_line(
     }
     let slot = Arc::new(ReplySlot::default());
     conn.pending.push_back(Arc::clone(&slot));
-    let reply = Reply::Slot { slot, token, notifier: Arc::clone(notifier) };
-    let job = Job { line, accepted: Instant::now(), reply };
+    let job = Job { line, accepted: Instant::now(), slot, token };
     if let Err(job) = shared.queue.try_push(job) {
         let err = WireError::new(
             ErrorCode::Overloaded,
@@ -512,22 +460,18 @@ fn dispatch_line(
             ),
         )
         .with_retry_after(shared.config.retry_after_ms);
-        job.reply.send(protocol::err_line(&protocol::recover_id(&job.line), &err), None);
+        job.slot.fill(protocol::err_line(&protocol::recover_id(&job.line), &err), None);
         shared.engine.note_rejection(RobustnessEvent::Overloaded, job.accepted.elapsed());
     }
     ConnState::Keep
 }
 
 /// Answers `request_too_large` on the connection's own FIFO.
-fn answer_too_large(conn: &mut Conn, shared: &Arc<Shared>) {
+fn answer_too_large(conn: &mut Conn, shared: &Shared) {
     let rejected = Instant::now();
-    let err = WireError::new(
-        ErrorCode::RequestTooLarge,
-        format!("request line exceeds {} bytes", shared.config.max_line_bytes),
-    );
-    let slot = Arc::new(ReplySlot::default());
-    *lock_unpoisoned(&slot.response) = Some(protocol::err_line(&None, &err));
-    conn.pending.push_back(slot);
+    let slot = ReplySlot::default();
+    slot.fill(too_large_line(shared.config.max_line_bytes), None);
+    conn.pending.push_back(Arc::new(slot));
     shared.engine.note_rejection(RobustnessEvent::RequestTooLarge, rejected.elapsed());
 }
 
@@ -535,10 +479,9 @@ fn answer_too_large(conn: &mut Conn, shared: &Arc<Shared>) {
 /// contract) into the write buffer and writes until the socket would
 /// block. Closing happens when the peer is gone and nothing is owed,
 /// when the write buffer outgrows its bound, or on a socket error.
-fn flush(conn: &mut Conn, shared: &Arc<Shared>) -> ConnState {
+fn flush(conn: &mut Conn, shared: &Shared) -> ConnState {
     while let Some(front) = conn.pending.front() {
-        let Some(response) = lock_unpoisoned(&front.response).take() else { break };
-        let trace = lock_unpoisoned(&front.trace).take();
+        let Some((response, trace)) = front.take() else { break };
         conn.pending.pop_front();
         conn.write_buf.extend_from_slice(response.as_bytes());
         conn.write_buf.push(b'\n');

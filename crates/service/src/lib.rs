@@ -26,7 +26,8 @@
 //!   including the full version history behind time-travel `eval`
 //!   ([`wal`], [`snapshot`], [`Engine::open`]).
 //! - **Wire protocol** — newline-delimited JSON over a localhost TCP
-//!   listener or stdin/stdout, with stable machine-readable error codes
+//!   listener, served by one readiness-driven `epoll` I/O thread, or
+//!   over stdin/stdout, with stable machine-readable error codes
 //!   ([`protocol`]).
 //! - **Worker pool** — requests are claimed dynamically by a pool of
 //!   workers, the same discipline as the parallel Monte-Carlo engine's
@@ -79,7 +80,7 @@ pub use client::{code_is_retryable, Client, RetryPolicy, RetryingClient};
 pub use engine::{DurabilityConfig, Engine, EngineConfig, DEFAULT_MEMO_ENTRIES, DEFAULT_SHARDS};
 pub use faults::{FaultPlan, InjectedCounts};
 pub use protocol::{EditAction, Envelope, ErrorCode, EvalAt, Request, WireError, WireLeafKind};
-pub use server::{serve_stdio, serve_stdio_with, IoModel, Server, ServerConfig};
+pub use server::{serve_stdio, serve_stdio_with, Server, ServerConfig};
 pub use stats::{
     CompileCounters, DurabilityCounters, Histogram, IncrementalCounters, RobustnessCounters,
     RobustnessEvent, ServiceStats, StorageHealthCounters,

@@ -6,9 +6,9 @@
 //! engine: work sits in one shared queue and idle workers claim the
 //! next item the moment they free up, so a long `mc` on one worker
 //! never blocks a stream of cheap `eval`s on the others. Response order
-//! is still per-connection FIFO — each connection's reader hands the
-//! writer a queue of reply slots in arrival order, and the writer
-//! drains them in that order no matter which finishes first.
+//! is still per-connection FIFO — the `epoll` I/O thread keeps each
+//! connection's reply slots in arrival order and flushes them in that
+//! order no matter which finishes first.
 //!
 //! The fault-tolerance layer (DESIGN §11) has four parts:
 //!
@@ -21,17 +21,18 @@
 //!   of propagating it ([`crate::lock_unpoisoned`]).
 //! - **Deadlines and slow-client defense.** Requests carry an optional
 //!   `deadline_ms` budget (or inherit [`ServerConfig::default_deadline_ms`])
-//!   measured from arrival, checked between pipeline stages. Sockets
-//!   get read/write timeouts, idle connections are reaped, and request
-//!   lines are length-capped — an oversized line answers
-//!   `request_too_large` and the connection survives.
+//!   measured from arrival, checked between pipeline stages. Idle
+//!   connections are reaped, a client that stops reading is dropped
+//!   once its unsent replies pass a bound, and request lines are
+//!   length-capped — an oversized line answers `request_too_large` and
+//!   the connection survives.
 //! - **Backpressure.** The job queue is bounded
 //!   ([`ServerConfig::queue_capacity`]); overflow answers `overloaded`
 //!   with a `retry_after_ms` hint immediately instead of queueing
 //!   without bound, and concurrent connections are capped.
-//! - **Graceful drain.** Shutdown stops accepting, lets workers drain
-//!   queued jobs up to [`ServerConfig::drain_deadline`], then aborts
-//!   the remainder; the final stats snapshot is always dumped.
+//! - **Graceful drain.** Shutdown stops reading and accepting, flushes
+//!   replies to queued jobs up to [`ServerConfig::drain_deadline`], then
+//!   abandons the remainder; the final stats snapshot is always dumped.
 //!
 //! A seeded [`FaultPlan`] can inject worker panics, request delays, and
 //! connection drops to exercise all of the above deterministically.
@@ -41,6 +42,7 @@
 //! simple enough that a framework would be all ceremony.
 
 use crate::engine::Engine;
+use crate::epoll::{Notifier, ReplySlot};
 use crate::faults::FaultPlan;
 use crate::lock_unpoisoned;
 use crate::protocol::{self, ErrorCode, Request, Response, WireError};
@@ -48,32 +50,13 @@ use crate::stats::RobustnessEvent;
 use crate::telemetry;
 use crate::trace::TraceBuilder;
 use std::collections::VecDeque;
-use std::io::{BufRead, BufReader, BufWriter, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::io::{BufRead, BufWriter, Write};
+use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex, PoisonError};
 use std::thread;
 use std::time::{Duration, Instant};
-
-/// Which transport multiplexes TCP connections onto the worker pool.
-///
-/// Both models share everything behind the transport — the same job
-/// queue, workers, supervisor, protocol, shedding, and drain semantics —
-/// and produce byte-identical responses; they differ only in how many
-/// OS threads a connection costs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum IoModel {
-    /// One readiness-driven I/O thread multiplexes every connection
-    /// through `epoll` with non-blocking sockets and edge-triggered
-    /// wakeups ([`crate::epoll`]); scales to thousands of mostly-idle
-    /// connections. The default.
-    #[default]
-    Epoll,
-    /// Two OS threads (reader + writer) per connection; simple and
-    /// fine for tens of clients (`--io threads`).
-    Threads,
-}
 
 /// Tunables for a [`Server`] (and, where applicable, [`serve_stdio_with`]).
 #[derive(Debug, Clone)]
@@ -92,11 +75,9 @@ pub struct ServerConfig {
     /// Default per-request time budget, applied when a request carries
     /// no `deadline_ms` of its own. `None` means no default deadline.
     pub default_deadline_ms: Option<u64>,
-    /// Socket read timeout; doubles as the idle-connection reaper.
+    /// Idle-connection reaper: a connection with no traffic for this
+    /// long is closed.
     pub read_timeout: Duration,
-    /// Socket write timeout: a client that stops draining responses is
-    /// disconnected rather than pinning a writer forever.
-    pub write_timeout: Duration,
     /// How long [`Server::shutdown`] waits for queued jobs to drain
     /// before abandoning them.
     pub drain_deadline: Duration,
@@ -104,9 +85,6 @@ pub struct ServerConfig {
     pub retry_after_ms: u64,
     /// Deterministic fault injection, when enabled (`--faults`).
     pub faults: Option<Arc<FaultPlan>>,
-    /// TCP transport model: readiness-driven `epoll` multiplexing or
-    /// thread-per-connection (`--io epoll|threads`).
-    pub io: IoModel,
 }
 
 impl Default for ServerConfig {
@@ -118,63 +96,21 @@ impl Default for ServerConfig {
             max_line_bytes: 1 << 20,
             default_deadline_ms: None,
             read_timeout: Duration::from_secs(60),
-            write_timeout: Duration::from_secs(10),
             drain_deadline: Duration::from_secs(5),
             retry_after_ms: 25,
             faults: None,
-            io: IoModel::default(),
-        }
-    }
-}
-
-/// Where a finished response goes: back to a per-connection writer
-/// thread (thread-per-connection transport), or into a reply slot whose
-/// connection the epoll I/O thread is then woken to flush.
-pub(crate) enum Reply {
-    /// Thread-per-connection: the connection's writer thread blocks on
-    /// the receiving end, preserving FIFO order via a slot queue. The
-    /// trace rides along so the writer can close its `reply_flush`
-    /// span after the bytes actually reach the socket.
-    Channel(mpsc::Sender<(String, Option<Box<TraceBuilder>>)>),
-    /// Readiness loop: deposit into the connection's FIFO slot and wake
-    /// the I/O thread to flush it.
-    Slot {
-        /// The reserved position in the connection's reply FIFO.
-        slot: Arc<crate::epoll::ReplySlot>,
-        /// Which connection to mark dirty.
-        token: u64,
-        /// The I/O thread's wakeup channel.
-        notifier: Arc<crate::epoll::Notifier>,
-    },
-}
-
-impl Reply {
-    /// Delivers one response (and the request's trace, still open in
-    /// its `reply_flush` span — the transport finalizes it once the
-    /// bytes are handed to the socket); a vanished recipient (client
-    /// hung up) is not an error.
-    pub(crate) fn send(&self, response: String, trace: Option<Box<TraceBuilder>>) {
-        match self {
-            Reply::Channel(tx) => {
-                let _ = tx.send((response, trace));
-            }
-            Reply::Slot { slot, token, notifier } => {
-                // Trace first: the flusher pops a slot the moment it
-                // sees the response, so the trace must already be there.
-                *lock_unpoisoned(&slot.trace) = trace;
-                *lock_unpoisoned(&slot.response) = Some(response);
-                notifier.notify(*token);
-            }
         }
     }
 }
 
 /// One unit of work: a raw request line, its arrival instant (the
-/// deadline epoch), and where the answer goes.
+/// deadline epoch), and the reply slot and connection token its answer
+/// goes to.
 pub(crate) struct Job {
     pub(crate) line: String,
     pub(crate) accepted: Instant,
-    pub(crate) reply: Reply,
+    pub(crate) slot: Arc<ReplySlot>,
+    pub(crate) token: u64,
 }
 
 /// Bounded shared job queue with condvar wakeup; workers claim
@@ -232,25 +168,19 @@ impl JobQueue {
         lock_unpoisoned(&self.jobs).len()
     }
 
-    /// Drops every queued job; their reply slots close, which closes
-    /// the owning connections.
-    fn clear(&self) {
-        lock_unpoisoned(&self.jobs).clear();
-    }
-
     fn notify_all(&self) {
         self.available.notify_all();
     }
 }
 
-/// State shared by the transport (accept loop and connection threads,
-/// or the epoll I/O thread), the workers, and the supervisor.
+/// State shared by the I/O thread, the workers, and the supervisor.
 pub(crate) struct Shared {
     pub(crate) engine: Arc<Engine>,
     pub(crate) queue: JobQueue,
+    /// Wakes the I/O thread when a worker fills a reply slot.
+    pub(crate) notifier: Notifier,
     pub(crate) shutdown: AtomicBool,
     pub(crate) abort: AtomicBool,
-    pub(crate) connections: AtomicUsize,
     pub(crate) config: ServerConfig,
 }
 
@@ -258,16 +188,6 @@ impl Shared {
     fn begin_shutdown(&self) {
         self.shutdown.store(true, Ordering::SeqCst);
         self.queue.notify_all();
-    }
-}
-
-/// Decrements the live-connection count when a connection thread ends,
-/// however it ends.
-struct ConnGuard<'a>(&'a AtomicUsize);
-
-impl Drop for ConnGuard<'_> {
-    fn drop(&mut self) {
-        self.0.fetch_sub(1, Ordering::SeqCst);
     }
 }
 
@@ -284,13 +204,13 @@ enum WorkerExit {
 pub struct Server {
     shared: Arc<Shared>,
     addr: SocketAddr,
-    accept_handle: thread::JoinHandle<()>,
+    io_handle: thread::JoinHandle<()>,
     supervisor_handle: thread::JoinHandle<()>,
 }
 
 impl Server {
     /// Binds `addr` (use port 0 for an ephemeral port) and starts
-    /// `workers` request workers plus accept and supervisor threads,
+    /// `workers` request workers plus I/O and supervisor threads,
     /// with every other knob at its [`ServerConfig`] default.
     ///
     /// # Errors
@@ -308,7 +228,8 @@ impl Server {
     ///
     /// # Errors
     ///
-    /// [`std::io::Error`] when the address cannot be bound.
+    /// [`std::io::Error`] when the address cannot be bound or the I/O
+    /// thread's wakeup socketpair cannot be created.
     pub fn start(
         engine: Arc<Engine>,
         addr: impl ToSocketAddrs,
@@ -316,17 +237,14 @@ impl Server {
     ) -> std::io::Result<Server> {
         let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
-        engine.telemetry().set_transport(match config.io {
-            IoModel::Epoll => "epoll",
-            IoModel::Threads => "threads",
-        });
+        engine.telemetry().set_transport("epoll");
         let workers = config.workers.max(1);
         let shared = Arc::new(Shared {
             engine,
             queue: JobQueue::new(config.queue_capacity),
+            notifier: Notifier::new()?,
             shutdown: AtomicBool::new(false),
             abort: AtomicBool::new(false),
-            connections: AtomicUsize::new(0),
             config,
         });
 
@@ -341,35 +259,20 @@ impl Server {
             thread::spawn(move || supervise(&shared, workers, handles, &exit_rx, &exit_tx))
         };
 
-        let accept_handle = match shared.config.io {
-            IoModel::Epoll => {
-                let shared = Arc::clone(&shared);
-                thread::spawn(move || {
-                    if let Err(e) = crate::epoll::run(&listener, &shared) {
-                        // Losing the I/O thread is losing the service;
-                        // initiate shutdown so workers stop cleanly
-                        // instead of waiting on a queue nobody fills.
-                        eprintln!("depcase-service: epoll loop failed: {e}");
-                        shared.begin_shutdown();
-                    }
-                })
-            }
-            IoModel::Threads => {
-                let shared = Arc::clone(&shared);
-                thread::spawn(move || {
-                    for stream in listener.incoming() {
-                        if shared.shutdown.load(Ordering::SeqCst) {
-                            break;
-                        }
-                        let Ok(stream) = stream else { continue };
-                        let shared = Arc::clone(&shared);
-                        thread::spawn(move || serve_connection(&stream, &shared));
-                    }
-                })
-            }
+        let io_handle = {
+            let shared = Arc::clone(&shared);
+            thread::spawn(move || {
+                if let Err(e) = crate::epoll::run(&listener, &shared) {
+                    // Losing the I/O thread is losing the service;
+                    // initiate shutdown so workers stop cleanly instead
+                    // of waiting on a queue nobody fills.
+                    eprintln!("depcase-service: epoll loop failed: {e}");
+                    shared.begin_shutdown();
+                }
+            })
         };
 
-        Ok(Server { shared, addr, accept_handle, supervisor_handle })
+        Ok(Server { shared, addr, io_handle, supervisor_handle })
     }
 
     /// The bound address (resolves port 0 to the actual port).
@@ -401,22 +304,15 @@ impl Server {
     /// whatever is still queued after that, and joins all threads.
     /// Idempotent with a wire-initiated shutdown.
     pub fn shutdown(self) {
-        let Server { shared, addr, accept_handle, supervisor_handle } = self;
+        let Server { shared, io_handle, supervisor_handle, .. } = self;
         shared.begin_shutdown();
-        // The accept loop only observes the flag on its next wakeup;
-        // poke it with a throwaway connection.
-        drop(TcpStream::connect(addr));
-        let _ = accept_handle.join();
-        let drain_until = Instant::now() + shared.config.drain_deadline;
-        while shared.queue.len() > 0 && Instant::now() < drain_until {
-            thread::sleep(Duration::from_millis(2));
-        }
+        // The I/O thread sees the flag within one loop tick and returns
+        // once every reply is out or the drain deadline expires; its
+        // connections close with it.
+        let _ = io_handle.join();
         shared.abort.store(true, Ordering::SeqCst);
         shared.queue.notify_all();
         let _ = supervisor_handle.join();
-        // Jobs the drain deadline abandoned: dropping them closes their
-        // reply slots, which lets their connections close.
-        shared.queue.clear();
         // Every worker is joined, so everything acked is in the WAL;
         // force it to stable storage regardless of fsync policy.
         if let Err(e) = shared.engine.flush_durability() {
@@ -447,8 +343,9 @@ fn worker_loop(shared: &Shared) -> WorkerExit {
         if outcome.shutdown {
             shared.begin_shutdown();
         }
-        // A vanished recipient means the client hung up; fine.
-        job.reply.send(outcome.response, outcome.trace);
+        // A slot nobody reads means the client hung up; fine.
+        job.slot.fill(outcome.response, outcome.trace);
+        shared.notifier.notify(job.token);
         if outcome.panicked {
             // The response went out, but this worker's stack just
             // unwound through arbitrary engine code — retire it and let
@@ -598,183 +495,79 @@ fn handle_line(
     }
 }
 
-/// One bounded line read from a buffered stream.
-enum LineRead {
+/// One frame cut from an NDJSON byte stream.
+#[derive(Debug, PartialEq, Eq)]
+pub(crate) enum Frame {
     /// A complete line (newline stripped), within the length bound.
     Line(String),
-    /// The line exceeded `max` bytes; it was consumed and discarded.
+    /// The line exceeded the bound; its bytes were discarded.
     TooLong,
-    /// Clean end of stream.
-    Eof,
-    /// The socket read timed out (idle or stalled mid-line).
-    TimedOut,
-    /// Any other I/O failure.
-    Failed,
 }
 
-/// Reads one `\n`-terminated line of at most `max` bytes. Oversized
-/// lines are consumed to their newline and reported as [`LineRead::TooLong`],
-/// so the connection can keep going — one hostile line must not cost
+/// Cuts an NDJSON byte stream into lines of at most `max` bytes, for
+/// every epoll connection and the stdio loop alike. An oversized line is
+/// discarded as it streams in and answered as [`Frame::TooLong`] once it
+/// ends, so the stream can keep going — one hostile line must not cost
 /// the client its session, and must not cost the server the memory to
 /// buffer it.
-fn read_bounded_line(reader: &mut impl BufRead, max: usize) -> LineRead {
-    let mut line: Vec<u8> = Vec::new();
-    let mut overflowed = false;
-    loop {
-        let chunk = match reader.fill_buf() {
-            Ok(chunk) => chunk,
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                ) =>
-            {
-                return LineRead::TimedOut
-            }
-            Err(_) => return LineRead::Failed,
-        };
-        if chunk.is_empty() {
-            return match (overflowed, line.is_empty()) {
-                (true, _) => LineRead::TooLong,
-                (false, true) => LineRead::Eof,
-                // A final line without a trailing newline still counts.
-                (false, false) => LineRead::Line(String::from_utf8_lossy(&line).into_owned()),
-            };
-        }
-        match chunk.iter().position(|&b| b == b'\n') {
-            Some(newline) => {
-                if !overflowed {
-                    line.extend_from_slice(&chunk[..newline]);
-                }
-                reader.consume(newline + 1);
-                if overflowed || line.len() > max {
-                    return LineRead::TooLong;
-                }
-                // NDJSON is UTF-8; anything else will fail JSON parsing
-                // with a `bad_json` of its own.
-                return LineRead::Line(String::from_utf8_lossy(&line).into_owned());
-            }
+pub(crate) struct LineFramer {
+    buf: Vec<u8>,
+    /// Prefix of `buf` already scanned for a newline.
+    scanned: usize,
+    /// Inside an oversized line: discard through its end.
+    overflowed: bool,
+    max: usize,
+}
+
+impl LineFramer {
+    pub(crate) fn new(max: usize) -> LineFramer {
+        LineFramer { buf: Vec::new(), scanned: 0, overflowed: false, max }
+    }
+
+    /// Appends bytes read from the stream.
+    pub(crate) fn extend(&mut self, bytes: &[u8]) {
+        self.buf.extend_from_slice(bytes);
+    }
+
+    /// The next frame, or `None` until more bytes arrive. Once the
+    /// stream has ended (`eof`), a final line without a trailing newline
+    /// still counts.
+    pub(crate) fn next_frame(&mut self, eof: bool) -> Option<Frame> {
+        let end = match self.buf[self.scanned..].iter().position(|&b| b == b'\n') {
+            Some(offset) => self.scanned + offset,
+            None if eof && (self.overflowed || !self.buf.is_empty()) => self.buf.len(),
             None => {
-                let taken = chunk.len();
-                if !overflowed {
-                    line.extend_from_slice(chunk);
-                    if line.len() > max {
-                        overflowed = true;
-                        line.clear();
-                        line.shrink_to_fit();
-                    }
+                self.scanned = self.buf.len();
+                if self.scanned > self.max || self.overflowed {
+                    // Stop buffering a hostile line; remember to answer
+                    // `request_too_large` when it ends.
+                    self.overflowed = true;
+                    self.buf = Vec::new();
+                    self.scanned = 0;
                 }
-                reader.consume(taken);
+                return None;
             }
-        }
+        };
+        let frame = if std::mem::take(&mut self.overflowed) || end > self.max {
+            Frame::TooLong
+        } else {
+            // NDJSON is UTF-8; anything else will fail JSON parsing with
+            // a `bad_json` of its own.
+            Frame::Line(String::from_utf8_lossy(&self.buf[..end]).into_owned())
+        };
+        self.buf.drain(..self.buf.len().min(end + 1));
+        self.scanned = 0;
+        Some(frame)
     }
 }
 
-/// Reader half of a connection: enqueue each line, handing the writer
-/// the reply receivers in arrival order so responses stay FIFO even
-/// when workers finish out of order. Load shedding happens here —
-/// overflow and oversized lines are answered on the same FIFO slots,
-/// so pipelined clients still match every response to a request.
-fn serve_connection(stream: &TcpStream, shared: &Shared) {
-    let config = &shared.config;
-    let _ = stream.set_read_timeout(Some(config.read_timeout));
-    let _ = stream.set_write_timeout(Some(config.write_timeout));
-
-    let active = shared.connections.fetch_add(1, Ordering::SeqCst) + 1;
-    let _guard = ConnGuard(&shared.connections);
-    if active > config.max_connections {
-        let refused = Instant::now();
-        let err = WireError::new(
-            ErrorCode::Overloaded,
-            format!("connection limit ({}) reached", config.max_connections),
-        )
-        .with_retry_after(config.retry_after_ms);
-        let mut writer = BufWriter::new(stream);
-        let _ = writeln!(writer, "{}", protocol::err_line(&None, &err));
-        let _ = writer.flush();
-        shared.engine.note_rejection(RobustnessEvent::Overloaded, refused.elapsed());
-        return;
-    }
-
-    let Ok(write_half) = stream.try_clone() else { return };
-    type ReplyRx = mpsc::Receiver<(String, Option<Box<TraceBuilder>>)>;
-    let (order_tx, order_rx) = mpsc::channel::<ReplyRx>();
-    let writer_engine = Arc::clone(&shared.engine);
-    let writer_handle = thread::spawn(move || {
-        let mut writer = BufWriter::new(write_half);
-        while let Ok(slot) = order_rx.recv() {
-            let Ok((response, trace)) = slot.recv() else { break };
-            if writeln!(writer, "{response}").and_then(|()| writer.flush()).is_err() {
-                break;
-            }
-            // The bytes are with the kernel: close `reply_flush` and
-            // publish the trace.
-            if let Some(tb) = trace {
-                writer_engine.telemetry().finish(*tb);
-            }
-        }
-    });
-
-    let mut reader = BufReader::new(stream);
-    loop {
-        // During drain, stop taking new work; in-flight replies still
-        // go out through the writer before the connection closes.
-        if shared.shutdown.load(Ordering::SeqCst) {
-            break;
-        }
-        let (reply_tx, reply_rx) = mpsc::channel();
-        match read_bounded_line(&mut reader, config.max_line_bytes) {
-            LineRead::Line(line) => {
-                if line.trim().is_empty() {
-                    continue;
-                }
-                if config.faults.as_ref().is_some_and(|plan| plan.take_drop()) {
-                    // Injected fault: vanish mid-conversation, exactly
-                    // like a crashed client-side proxy would.
-                    break;
-                }
-                if order_tx.send(reply_rx).is_err() {
-                    break;
-                }
-                let job = Job { line, accepted: Instant::now(), reply: Reply::Channel(reply_tx) };
-                if let Err(job) = shared.queue.try_push(job) {
-                    let err = WireError::new(
-                        ErrorCode::Overloaded,
-                        format!(
-                            "request queue is full ({} queued); shed instead of queueing",
-                            config.queue_capacity
-                        ),
-                    )
-                    .with_retry_after(config.retry_after_ms);
-                    job.reply
-                        .send(protocol::err_line(&protocol::recover_id(&job.line), &err), None);
-                    shared
-                        .engine
-                        .note_rejection(RobustnessEvent::Overloaded, job.accepted.elapsed());
-                }
-            }
-            LineRead::TooLong => {
-                let rejected = Instant::now();
-                if order_tx.send(reply_rx).is_err() {
-                    break;
-                }
-                let err = WireError::new(
-                    ErrorCode::RequestTooLarge,
-                    format!("request line exceeds {} bytes", config.max_line_bytes),
-                );
-                let _ = reply_tx.send((protocol::err_line(&None, &err), None));
-                shared.engine.note_rejection(RobustnessEvent::RequestTooLarge, rejected.elapsed());
-            }
-            LineRead::TimedOut => {
-                shared.engine.note(RobustnessEvent::ConnectionReaped);
-                break;
-            }
-            LineRead::Eof | LineRead::Failed => break,
-        }
-    }
-    drop(order_tx);
-    let _ = writer_handle.join();
+/// The `request_too_large` answer to a line over `max_line_bytes`.
+pub(crate) fn too_large_line(max_line_bytes: usize) -> String {
+    let err = WireError::new(
+        ErrorCode::RequestTooLarge,
+        format!("request line exceeds {max_line_bytes} bytes"),
+    );
+    protocol::err_line(&None, &err)
 }
 
 /// Serves NDJSON over stdin/stdout until EOF or a `shutdown` request,
@@ -783,7 +576,8 @@ fn serve_connection(stream: &TcpStream, shared: &Shared) {
 ///
 /// Requests are executed in arrival order on the calling thread —
 /// stdio has a single client, so pooling buys nothing but reordering
-/// hazards.
+/// hazards. It is its own loop rather than an epoll connection because
+/// stdin may be a redirected file, which epoll cannot watch.
 pub fn serve_stdio(engine: &Engine) {
     serve_stdio_with(engine, &ServerConfig::default());
 }
@@ -799,34 +593,37 @@ pub fn serve_stdio_with(engine: &Engine, config: &ServerConfig) {
     let stdout = std::io::stdout();
     let mut reader = stdin.lock();
     let mut writer = BufWriter::new(stdout.lock());
-    loop {
-        let response = match read_bounded_line(&mut reader, config.max_line_bytes) {
-            LineRead::Line(line) => {
-                if line.trim().is_empty() {
-                    continue;
-                }
-                let outcome = handle_line(engine, config, &line, Instant::now());
-                let stop = outcome.shutdown;
-                let wrote = writeln!(writer, "{}", outcome.response).and_then(|()| writer.flush());
-                if let Some(tb) = outcome.trace {
-                    engine.telemetry().finish(*tb);
-                }
-                if wrote.is_err() || stop {
-                    break;
-                }
-                continue;
-            }
-            LineRead::TooLong => {
-                engine.note_rejection(RobustnessEvent::RequestTooLarge, Duration::ZERO);
-                let err = WireError::new(
-                    ErrorCode::RequestTooLarge,
-                    format!("request line exceeds {} bytes", config.max_line_bytes),
-                );
-                protocol::err_line(&None, &err)
-            }
-            LineRead::Eof | LineRead::TimedOut | LineRead::Failed => break,
+    let mut framer = LineFramer::new(config.max_line_bytes);
+    'serve: loop {
+        let chunk = match reader.fill_buf() {
+            Ok(chunk) => chunk,
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+            Err(_) => break,
         };
-        if writeln!(writer, "{response}").and_then(|()| writer.flush()).is_err() {
+        let (taken, eof) = (chunk.len(), chunk.is_empty());
+        framer.extend(chunk);
+        reader.consume(taken);
+        while let Some(frame) = framer.next_frame(eof) {
+            let (response, trace, stop) = match frame {
+                Frame::Line(line) if line.trim().is_empty() => continue,
+                Frame::Line(line) => {
+                    let outcome = handle_line(engine, config, &line, Instant::now());
+                    (outcome.response, outcome.trace, outcome.shutdown)
+                }
+                Frame::TooLong => {
+                    engine.note_rejection(RobustnessEvent::RequestTooLarge, Duration::ZERO);
+                    (too_large_line(config.max_line_bytes), None, false)
+                }
+            };
+            let wrote = writeln!(writer, "{response}").and_then(|()| writer.flush());
+            if let Some(tb) = trace {
+                engine.telemetry().finish(*tb);
+            }
+            if wrote.is_err() || stop {
+                break 'serve;
+            }
+        }
+        if eof {
             break;
         }
     }
@@ -840,33 +637,38 @@ pub fn serve_stdio_with(engine: &Engine, config: &ServerConfig) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::io::Cursor;
 
     #[test]
-    fn bounded_line_reader_survives_oversized_lines() {
-        let text = format!("{}\nshort\n", "x".repeat(64));
-        let mut reader = Cursor::new(text.into_bytes());
-        assert!(matches!(read_bounded_line(&mut reader, 16), LineRead::TooLong));
-        match read_bounded_line(&mut reader, 16) {
-            LineRead::Line(line) => assert_eq!(line, "short"),
-            _ => panic!("the connection must survive an oversized line"),
-        }
-        assert!(matches!(read_bounded_line(&mut reader, 16), LineRead::Eof));
+    fn framer_survives_oversized_lines() {
+        let mut framer = LineFramer::new(16);
+        framer.extend(format!("{}\nshort\n", "x".repeat(64)).as_bytes());
+        assert_eq!(framer.next_frame(false), Some(Frame::TooLong));
+        assert_eq!(
+            framer.next_frame(false),
+            Some(Frame::Line("short".to_string())),
+            "the stream must survive an oversized line"
+        );
+        assert_eq!(framer.next_frame(true), None);
     }
 
     #[test]
-    fn bounded_line_reader_accepts_final_unterminated_line() {
-        let mut reader = Cursor::new(b"{\"op\":\"stats\"}".to_vec());
-        match read_bounded_line(&mut reader, 64) {
-            LineRead::Line(line) => assert_eq!(line, "{\"op\":\"stats\"}"),
-            _ => panic!("final line without newline must still parse"),
-        }
+    fn framer_accepts_final_unterminated_line() {
+        let mut framer = LineFramer::new(64);
+        framer.extend(b"{\"op\":\"stats\"}");
+        assert_eq!(framer.next_frame(false), None);
+        assert_eq!(
+            framer.next_frame(true),
+            Some(Frame::Line("{\"op\":\"stats\"}".to_string())),
+            "final line without newline must still parse"
+        );
     }
 
     #[test]
     fn oversized_line_at_eof_is_too_long_not_eof() {
-        let mut reader = Cursor::new("y".repeat(64).into_bytes());
-        assert!(matches!(read_bounded_line(&mut reader, 16), LineRead::TooLong));
-        assert!(matches!(read_bounded_line(&mut reader, 16), LineRead::Eof));
+        let mut framer = LineFramer::new(16);
+        framer.extend("y".repeat(64).as_bytes());
+        assert_eq!(framer.next_frame(false), None);
+        assert_eq!(framer.next_frame(true), Some(Frame::TooLong));
+        assert_eq!(framer.next_frame(true), None);
     }
 }

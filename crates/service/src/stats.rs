@@ -199,7 +199,7 @@ pub enum RobustnessEvent {
     Overloaded,
     /// An oversized request line was discarded (`request_too_large`).
     RequestTooLarge,
-    /// An idle or stalled connection was reaped by a socket timeout.
+    /// An idle connection was reaped after `read_timeout`.
     ConnectionReaped,
 }
 
@@ -222,7 +222,7 @@ pub struct RobustnessCounters {
     pub overloaded: u64,
     /// Lines rejected with `request_too_large`.
     pub request_too_large: u64,
-    /// Connections closed by idle/stall timeouts.
+    /// Connections closed by the idle reaper.
     pub connections_reaped: u64,
 }
 

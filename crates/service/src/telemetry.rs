@@ -368,7 +368,7 @@ impl Telemetry {
         Ok(())
     }
 
-    /// Names the transport in use (`"epoll"`, `"threads"`, `"stdio"`)
+    /// Names the transport in use (`"epoll"`, `"stdio"`)
     /// for the `stats` build block and `depcase_build_info`.
     pub fn set_transport(&self, transport: &str) {
         *lock_unpoisoned(&self.transport) = transport.to_string();

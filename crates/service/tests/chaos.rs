@@ -13,6 +13,8 @@ use depcase_service::{
     Client, Engine, ErrorCode, FaultPlan, RetryPolicy, RetryingClient, Server, ServerConfig,
 };
 use serde::{Serialize, Value};
+use std::io::{BufRead, BufReader, Read, Write};
+use std::net::{Shutdown, TcpStream};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -377,6 +379,87 @@ fn connection_cap_sheds_excess_connections_then_recovers() {
                 .is_ok_and(|line| parse_any(&line).get("ok").and_then(Value::as_bool) == Some(true))
         })
     });
+    server.shutdown();
+}
+
+/// A final request line without a trailing newline is still a request:
+/// a client that sends one and half-closes gets its answer before the
+/// server closes the connection.
+#[test]
+fn final_unterminated_line_is_answered_at_half_close() {
+    let config = ServerConfig { workers: 2, ..ServerConfig::default() };
+    let server = Server::start(Arc::new(Engine::new(8)), ("127.0.0.1", 0), config).unwrap();
+    let mut stream = TcpStream::connect(server.local_addr()).unwrap();
+    stream.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+    stream.write_all(br#"{"id":1,"op":"stats"}"#).unwrap();
+    stream.shutdown(Shutdown::Write).unwrap();
+
+    let mut answer = String::new();
+    stream.read_to_string(&mut answer).unwrap();
+    let lines: Vec<&str> = answer.lines().collect();
+    assert_eq!(lines.len(), 1, "exactly one answer before the close: {answer:?}");
+    assert_eq!(parse_any(lines[0]).get("id").and_then(Value::as_u64), Some(1), "{answer}");
+    parse_ok(lines[0]);
+    server.shutdown();
+}
+
+/// Shutdown spends one drain window, not two: with 60 requests queued
+/// behind two workers that each take 200 ms, the queue cannot empty
+/// inside the 1 s `drain_deadline`, so `Server::shutdown` must give up
+/// after that window plus the requests already executing.
+#[test]
+fn shutdown_gives_up_after_one_drain_window() {
+    let config = ServerConfig {
+        workers: 2,
+        drain_deadline: Duration::from_secs(1),
+        faults: Some(Arc::new(FaultPlan::parse("seed=1,delay=1.0,delay_ms=200").unwrap())),
+        ..ServerConfig::default()
+    };
+    let server = Server::start(Arc::new(Engine::new(8)), ("127.0.0.1", 0), config).unwrap();
+    let mut stream = TcpStream::connect(server.local_addr()).unwrap();
+    stream.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+    let burst: String = (0..60).map(|i| format!("{{\"id\":{i},\"op\":\"stats\"}}\n")).collect();
+    stream.write_all(burst.as_bytes()).unwrap();
+    // The first answer proves the burst was framed and queued.
+    let mut first = String::new();
+    BufReader::new(&stream).read_line(&mut first).unwrap();
+    parse_ok(&first);
+
+    let started = Instant::now();
+    server.shutdown();
+    let elapsed = started.elapsed();
+    assert!(
+        elapsed < Duration::from_millis(1700),
+        "shutdown must end within one drain window plus in-flight work, took {elapsed:?}"
+    );
+}
+
+/// `read_timeout` is the idle reaper: a connection that sends nothing
+/// is closed once it has been idle that long, and the reap is counted.
+#[test]
+fn idle_connections_are_reaped_after_read_timeout() {
+    let config = ServerConfig {
+        workers: 1,
+        read_timeout: Duration::from_millis(200),
+        ..ServerConfig::default()
+    };
+    let engine = Arc::new(Engine::new(8));
+    let server = Server::start(Arc::clone(&engine), ("127.0.0.1", 0), config).unwrap();
+    let mut idle = TcpStream::connect(server.local_addr()).unwrap();
+    idle.set_read_timeout(Some(Duration::from_secs(2))).unwrap();
+
+    let mut byte = [0u8; 1];
+    let read = idle.read(&mut byte).expect("an idle connection must be reaped within 2 s");
+    assert_eq!(read, 0, "a reaped connection reads EOF");
+
+    let mut client = Client::connect(server.local_addr()).unwrap();
+    let stats = parse_ok(&client.round_trip(r#"{"op":"stats"}"#).unwrap());
+    let reaped = stats
+        .get("robustness")
+        .and_then(|r| r.get("connections_reaped"))
+        .and_then(Value::as_u64)
+        .unwrap();
+    assert!(reaped >= 1, "the reap must be counted: {reaped}");
     server.shutdown();
 }
 

@@ -1,10 +1,9 @@
 //! Readiness soak: a thousand mostly-idle connections on the epoll
-//! transport must cost no per-connection threads, answer trickled
-//! requests bit-identically to a lone client, and leave the
-//! thread-per-connection fallback fully functional.
+//! transport must cost no per-connection threads and answer trickled
+//! requests bit-identically to a lone client.
 
 use depcase::prelude::*;
-use depcase_service::{Client, Engine, IoModel, Server, ServerConfig};
+use depcase_service::{Client, Engine, Server, ServerConfig};
 use serde::Serialize;
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
@@ -47,24 +46,19 @@ fn thread_count() -> usize {
 const CONNS: usize = 1000;
 const EVAL: &str = "{\"op\":\"eval\",\"name\":\"reactor\"}\n";
 
-/// One test, three phases in sequence (the thread counting makes the
+/// One test, two phases in sequence (the thread counting makes the
 /// phases order-sensitive, so they share a body instead of racing as
 /// separate tests):
 ///
 /// 1. open 1k connections and hold them idle — the process thread
 ///    count must not move with the connection count;
 /// 2. trickle requests through a spread of those connections — every
-///    answer must be byte-identical to a lone client's;
-/// 3. the `--io threads` fallback still serves correctly.
+///    answer must be byte-identical to a lone client's.
 #[test]
 fn a_thousand_idle_connections_cost_no_threads_and_answer_bit_identically() {
     let engine = Arc::new(Engine::new(8));
-    let config = ServerConfig {
-        workers: 2,
-        max_connections: CONNS + 16,
-        io: IoModel::Epoll,
-        ..ServerConfig::default()
-    };
+    let config =
+        ServerConfig { workers: 2, max_connections: CONNS + 16, ..ServerConfig::default() };
     let server = Server::start(engine, ("127.0.0.1", 0), config).unwrap();
     let addr = server.local_addr();
 
@@ -106,17 +100,5 @@ fn a_thousand_idle_connections_cost_no_threads_and_answer_bit_identically() {
     );
 
     drop(conns);
-    server.shutdown();
-
-    // Phase 3: the thread-per-connection fallback still serves, and
-    // answers the same bytes for the same case.
-    let engine = Arc::new(Engine::new(8));
-    let config = ServerConfig { workers: 2, io: IoModel::Threads, ..ServerConfig::default() };
-    let server = Server::start(engine, ("127.0.0.1", 0), config).unwrap();
-    let mut client = Client::connect(server.local_addr()).unwrap();
-    let loaded = client.round_trip(&load_line("reactor", &reactor_case())).unwrap();
-    assert!(loaded.contains("\"ok\":true"), "{loaded}");
-    let threaded = client.round_trip(EVAL.trim_end()).unwrap();
-    assert_eq!(threaded, expected, "both transports must answer identical bytes");
     server.shutdown();
 }

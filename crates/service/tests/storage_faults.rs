@@ -5,7 +5,7 @@
 //! - **Disk full** (`ENOSPC`): the server stays up, refuses mutations
 //!   with `read_only` + `retry_after_ms`, keeps serving evals
 //!   bit-identically, and resumes mutations — continuing the version
-//!   sequence — once space comes back. Pinned on both IO models.
+//!   sequence — once space comes back.
 //! - **Retry discipline**: a [`RetryingClient`] rides out the window
 //!   without the caller seeing the outage.
 //! - **Bit-rot**: scrub detects 100% of injected flips, repairs every
@@ -17,8 +17,8 @@
 use depcase::prelude::*;
 use depcase_service::protocol::{Json, Request};
 use depcase_service::{
-    Client, DurabilityConfig, EditAction, Engine, EvalAt, FaultyIo, FsyncPolicy, IoModel,
-    RetryPolicy, RetryingClient, Server, ServerConfig, SimIo, StorageIo, WireError,
+    Client, DurabilityConfig, EditAction, Engine, EvalAt, FaultyIo, FsyncPolicy, RetryPolicy,
+    RetryingClient, Server, ServerConfig, SimIo, StorageIo, WireError,
 };
 use serde::{Deserialize, Serialize, Value};
 use std::path::{Path, PathBuf};
@@ -115,90 +115,87 @@ fn acked_from(result: &Value) -> Acked {
     }
 }
 
-/// Disk full mid-storm, on both IO models: mutations answer `read_only`
-/// with a retry hint, evals keep serving bit-identically, space restore
-/// resumes the version sequence, and a post-mortem reopen of the disk
-/// holds exactly the acked mutations.
+/// Disk full mid-storm: mutations answer `read_only` with a retry
+/// hint, evals keep serving bit-identically, space restore resumes the
+/// version sequence, and a post-mortem reopen of the disk holds exactly
+/// the acked mutations.
 #[test]
-fn disk_full_degrades_to_read_only_and_recovers_on_both_io_models() {
-    for io_model in [IoModel::Epoll, IoModel::Threads] {
-        let sim = SimIo::new();
-        let faulty = Arc::new(FaultyIo::parse(Arc::new(sim.clone()), "seed=1").unwrap());
-        let engine = Arc::new(
-            Engine::open_with_io(32, &config(1000), Arc::clone(&faulty) as Arc<dyn StorageIo>)
-                .unwrap(),
-        );
-        let server = Server::start(
-            Arc::clone(&engine),
-            ("127.0.0.1", 0),
-            ServerConfig { workers: 2, io: io_model, ..ServerConfig::default() },
-        )
-        .unwrap();
-        let mut client = Client::connect(server.local_addr()).unwrap();
+fn disk_full_degrades_to_read_only_and_recovers() {
+    let sim = SimIo::new();
+    let faulty = Arc::new(FaultyIo::parse(Arc::new(sim.clone()), "seed=1").unwrap());
+    let engine = Arc::new(
+        Engine::open_with_io(32, &config(1000), Arc::clone(&faulty) as Arc<dyn StorageIo>).unwrap(),
+    );
+    let server = Server::start(
+        Arc::clone(&engine),
+        ("127.0.0.1", 0),
+        ServerConfig { workers: 2, ..ServerConfig::default() },
+    )
+    .unwrap();
+    let mut client = Client::connect(server.local_addr()).unwrap();
 
-        let mut acked =
-            vec![acked_from(&client.round_trip_value(&load_line("alpha", &demo_case())).unwrap())];
-        for i in 0..3u32 {
-            let c = 0.55 + 0.1 * f64::from(i);
-            acked.push(acked_from(&client.round_trip_value(&edit_line("alpha", "E1", c)).unwrap()));
-        }
-        let eval_before = client.round_trip_value(r#"{"op":"eval","name":"alpha"}"#).unwrap();
+    let mut acked =
+        vec![acked_from(&client.round_trip_value(&load_line("alpha", &demo_case())).unwrap())];
+    for i in 0..3u32 {
+        let c = 0.55 + 0.1 * f64::from(i);
+        acked.push(acked_from(&client.round_trip_value(&edit_line("alpha", "E1", c)).unwrap()));
+    }
+    let eval_before = client.round_trip_value(r#"{"op":"eval","name":"alpha"}"#).unwrap();
 
-        // The disk fills. Every mutation now answers `read_only` with a
-        // retry hint; none may burn a version.
-        faulty.exhaust_space();
-        for _ in 0..2 {
-            let refused = parse(&client.round_trip(&edit_line("alpha", "E2", 0.42)).unwrap());
-            assert_eq!(refused.get("ok").and_then(Value::as_bool), Some(false), "{io_model:?}");
-            let error = refused.get("error").unwrap();
-            assert_eq!(error.get("code").and_then(Value::as_str), Some("read_only"));
-            assert!(
-                error.get("retry_after_ms").and_then(Value::as_u64).is_some(),
-                "read_only must carry a retry hint ({io_model:?})"
-            );
-        }
-        assert!(engine.read_only(), "engine must flag read-only ({io_model:?})");
-        let health = engine.storage_health();
-        assert!(health.read_only && health.read_only_entered >= 1 && health.append_failures >= 2);
-
-        // Reads keep serving, bit-identical to before the outage.
-        let eval_during = client.round_trip_value(r#"{"op":"eval","name":"alpha"}"#).unwrap();
-        assert_eq!(root_bits(&eval_during), root_bits(&eval_before), "{io_model:?}");
-
-        // Space comes back: mutations resume, continuing the version
-        // sequence exactly where the last *acked* mutation left it.
-        faulty.restore_space();
-        let resumed = client.round_trip_value(&edit_line("alpha", "E1", 0.91)).unwrap();
-        assert_eq!(
-            resumed.get("version").and_then(Value::as_u64),
-            Some(acked.last().unwrap().version + 1),
-            "refused mutations must not burn versions ({io_model:?})"
-        );
-        acked.push(acked_from(&resumed));
-        assert!(!engine.read_only(), "{io_model:?}");
-        assert!(engine.storage_health().read_only_exited >= 1, "{io_model:?}");
-
-        server.shutdown();
-        drop(engine);
-
-        // Post-mortem: a fresh engine on the surviving bytes holds the
-        // acked mutations — and nothing else — bit-identically.
-        let reopened =
-            Engine::open_with_io(32, &config(1000), Arc::new(sim) as Arc<dyn StorageIo>).unwrap();
-        for a in &acked {
-            let eval = eval_at(&reopened, "alpha", a.version).unwrap();
-            assert_eq!(eval.get("hash").and_then(Value::as_str), Some(a.hash.as_str()));
-            if let Some(bits) = a.root_bits {
-                assert_eq!(root_bits(&eval), bits, "v{} drifted ({io_model:?})", a.version);
-            }
-        }
-        let history = reopened.handle(&Request::History { name: "alpha".to_string() }).unwrap();
-        assert_eq!(
-            history.get("current_version").and_then(Value::as_u64),
-            Some(acked.last().unwrap().version),
-            "the refused edits must leave no trace ({io_model:?})"
+    // The disk fills. Every mutation now answers `read_only` with a
+    // retry hint; none may burn a version.
+    faulty.exhaust_space();
+    for _ in 0..2 {
+        let refused = parse(&client.round_trip(&edit_line("alpha", "E2", 0.42)).unwrap());
+        assert_eq!(refused.get("ok").and_then(Value::as_bool), Some(false));
+        let error = refused.get("error").unwrap();
+        assert_eq!(error.get("code").and_then(Value::as_str), Some("read_only"));
+        assert!(
+            error.get("retry_after_ms").and_then(Value::as_u64).is_some(),
+            "read_only must carry a retry hint"
         );
     }
+    assert!(engine.read_only(), "engine must flag read-only");
+    let health = engine.storage_health();
+    assert!(health.read_only && health.read_only_entered >= 1 && health.append_failures >= 2);
+
+    // Reads keep serving, bit-identical to before the outage.
+    let eval_during = client.round_trip_value(r#"{"op":"eval","name":"alpha"}"#).unwrap();
+    assert_eq!(root_bits(&eval_during), root_bits(&eval_before));
+
+    // Space comes back: mutations resume, continuing the version
+    // sequence exactly where the last *acked* mutation left it.
+    faulty.restore_space();
+    let resumed = client.round_trip_value(&edit_line("alpha", "E1", 0.91)).unwrap();
+    assert_eq!(
+        resumed.get("version").and_then(Value::as_u64),
+        Some(acked.last().unwrap().version + 1),
+        "refused mutations must not burn versions"
+    );
+    acked.push(acked_from(&resumed));
+    assert!(!engine.read_only());
+    assert!(engine.storage_health().read_only_exited >= 1);
+
+    server.shutdown();
+    drop(engine);
+
+    // Post-mortem: a fresh engine on the surviving bytes holds the
+    // acked mutations — and nothing else — bit-identically.
+    let reopened =
+        Engine::open_with_io(32, &config(1000), Arc::new(sim) as Arc<dyn StorageIo>).unwrap();
+    for a in &acked {
+        let eval = eval_at(&reopened, "alpha", a.version).unwrap();
+        assert_eq!(eval.get("hash").and_then(Value::as_str), Some(a.hash.as_str()));
+        if let Some(bits) = a.root_bits {
+            assert_eq!(root_bits(&eval), bits, "v{} drifted", a.version);
+        }
+    }
+    let history = reopened.handle(&Request::History { name: "alpha".to_string() }).unwrap();
+    assert_eq!(
+        history.get("current_version").and_then(Value::as_u64),
+        Some(acked.last().unwrap().version),
+        "the refused edits must leave no trace"
+    );
 }
 
 /// A [`RetryingClient`] rides out the read-only window: the caller sees
