@@ -233,8 +233,7 @@ fn serve(args: &[String]) -> Result<(), String> {
     server.wait();
     eprintln!(
         "case_tool serve: final stats {}",
-        serde_json::to_string(&depcase_service::protocol::Json(engine_for_dump.stats_value()))
-            .map_err(|e| e.to_string())?
+        serde_json::value_to_string(&engine_for_dump.stats_value())
     );
     Ok(())
 }

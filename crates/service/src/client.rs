@@ -18,7 +18,7 @@
 //! seed replays the same backoff schedule, matching the determinism
 //! discipline of the rest of the crate.
 
-use crate::protocol::{ErrorCode, Json, MAX_BATCH_ITEMS};
+use crate::protocol::{ErrorCode, MAX_BATCH_ITEMS};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::Value;
@@ -81,7 +81,7 @@ impl Client {
     /// error's own code and message.
     pub fn round_trip_value(&mut self, line: &str) -> depcase::Result<Value> {
         let response = self.round_trip(line)?;
-        let Json(value) = serde_json::from_str::<Json>(&response).map_err(|e| {
+        let value = serde_json::value_from_str(&response).map_err(|e| {
             depcase::Error::service("bad_response", format!("unparseable response line: {e}"))
         })?;
         match value.get("ok").and_then(Value::as_bool) {
@@ -120,9 +120,7 @@ impl Client {
             ("op".to_string(), Value::Str("trace".to_string())),
             ("limit".to_string(), Value::U64(limit as u64)),
         ]);
-        let line = serde_json::to_string(&Json(request))
-            .map_err(|e| depcase::Error::service("bad_request", format!("unserializable: {e}")))?;
-        self.round_trip_value(&line)
+        self.round_trip_value(&serde_json::value_to_string(&request))
     }
 
     /// Fetches the unified metrics registry as structured JSON (the
@@ -202,9 +200,7 @@ impl Client {
             ("op".to_string(), Value::Str("batch".to_string())),
             ("items".to_string(), Value::Array(items.to_vec())),
         ]);
-        let line = serde_json::to_string(&Json(envelope))
-            .map_err(|e| depcase::Error::service("bad_request", format!("unserializable: {e}")))?;
-        let response = self.round_trip(&line)?;
+        let response = self.round_trip(&serde_json::value_to_string(&envelope))?;
         parse_batch_response(&response, items.len())
     }
 }
@@ -220,7 +216,7 @@ fn eval_item(name: &str) -> Value {
 /// Splits a batch response line into raw per-item objects, enforcing
 /// that the server answered every item positionally.
 fn parse_batch_response(response: &str, expected: usize) -> depcase::Result<Vec<Value>> {
-    let Json(value) = serde_json::from_str::<Json>(response).map_err(|e| {
+    let value = serde_json::value_from_str(response).map_err(|e| {
         depcase::Error::service("bad_response", format!("unparseable response line: {e}"))
     })?;
     match value.get("ok").and_then(Value::as_bool) {
@@ -568,7 +564,7 @@ fn retryable_error(error: &Value) -> Option<(String, Option<u64>)> {
 /// carrying one of the retryable wire codes; `None` means the response
 /// is final (success or a non-transient error).
 fn retryable(response: &str) -> Option<(String, Option<u64>)> {
-    let Json(value) = serde_json::from_str::<Json>(response).ok()?;
+    let value = serde_json::value_from_str(response).ok()?;
     if value.get("ok").and_then(Value::as_bool) != Some(false) {
         return None;
     }
@@ -588,6 +584,7 @@ fn retryable_item(item: &Value) -> Option<(String, Option<u64>)> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::protocol::Json;
 
     #[test]
     fn retryable_spots_transient_codes_and_the_hint() {

@@ -49,20 +49,20 @@
 use crate::cache::{CacheCounters, CompiledCase, PlanCache};
 use crate::lock_unpoisoned;
 use crate::protocol::{
-    format_hash, BatchItem, EditAction, ErrorCode, EvalAt, Json, Request, Response, WireError,
+    format_hash, BatchItem, EditAction, ErrorCode, EvalAt, Request, Response, WireError,
 };
 use crate::snapshot::{Manifest, ManifestCase, Store, VersionRecord};
 use crate::stats::{CompileCounters, RobustnessCounters, RobustnessEvent, ServiceStats};
 use crate::storage_io::{RealIo, StorageIo};
 use crate::telemetry::{self, MetricsRegistry, Telemetry, TlsTracer};
-use crate::wal::{FsyncPolicy, Wal, WalOp, WalRecord};
+use crate::wal::{FsyncPolicy, OpRef, RecordRef, Wal, WalOp, WalRecord};
 use depcase::assurance::{
     importance, Case, ConfidenceReport, EditStats, EvalPlan, Incremental, MemoStore,
     MemoStoreStats, MonteCarlo, NodeId, NodeKind, SharedMemo,
 };
 use depcase::distributions::TwoPoint;
 use depcase::sil::{SilAssessment, SilLevel};
-use serde::{Deserialize, Serialize, Value};
+use serde::{Deserialize, Value};
 use std::collections::{HashMap, HashSet};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -119,22 +119,15 @@ struct PackedCase {
 impl PackedCase {
     /// Packs a live case into its canonical serialized form.
     fn pack(case: &Case) -> PackedCase {
-        let doc = serde_json::to_string(&Json(Serialize::to_value(case)))
-            .expect("a live case always serializes");
+        let doc = serde_json::to_string(case).expect("a live case always serializes");
         PackedCase { doc: doc.into(), title: case.title().into() }
-    }
-
-    /// Parses the packed bytes back to the document value.
-    fn doc_value(&self) -> Result<Value, String> {
-        serde_json::from_str::<Json>(&self.doc)
-            .map(|Json(value)| value)
-            .map_err(|e| format!("packed case document failed to parse: {e}"))
     }
 
     /// Rehydrates the full case graph.
     fn unpack(&self) -> Result<Case, String> {
-        Case::from_value(&self.doc_value()?)
-            .map_err(|e| format!("packed case document failed to rebuild: {e}"))
+        let doc = serde_json::value_from_str(&self.doc)
+            .map_err(|e| format!("packed case document failed to parse: {e}"))?;
+        Case::from_value(&doc).map_err(|e| format!("packed case document failed to rebuild: {e}"))
     }
 
     /// [`PackedCase::unpack`] with the failure mapped to a wire error.
@@ -627,17 +620,17 @@ impl Engine {
 
     /// Post-replay fixpoint: any quarantined object the WAL replay has
     /// re-parked in the registry is rewritten to the store from that
-    /// in-memory copy (counted `repaired_from_wal`), and a poisoned
-    /// name whose registry state is unreconstructable is dropped from
-    /// serving entirely so `data_corrupted` is the only answer it gives.
+    /// in-memory copy's packed bytes (counted `repaired_from_wal`), and
+    /// a poisoned name whose registry state is unreconstructable is
+    /// dropped from serving entirely so `data_corrupted` is the only
+    /// answer it gives.
     fn heal_after_replay(&self, store: &Store, poisoned: HashSet<String>) {
         let quarantined: Vec<u64> = lock_unpoisoned(&self.corrupt).hashes.iter().copied().collect();
         let healed: Vec<u64> = quarantined
             .into_iter()
             .filter(|hash| {
-                self.parked_object(*hash).is_some_and(|packed| {
-                    packed.doc_value().is_ok_and(|doc| store.rewrite_object(*hash, &doc).is_ok())
-                })
+                self.parked_object(*hash)
+                    .is_some_and(|packed| store.rewrite_object_text(*hash, &packed.doc).is_ok())
             })
             .collect();
         let mut corrupt = lock_unpoisoned(&self.corrupt);
@@ -1091,7 +1084,7 @@ impl Engine {
         name: &str,
         case: PackedCase,
         hash: u64,
-        op: WalOp,
+        op: OpRef<'_>,
     ) -> Result<u64, WireError> {
         let mut durability = lock_unpoisoned(&self.durability);
         let version = {
@@ -1100,8 +1093,7 @@ impl Engine {
         };
         let ts_ms = now_ms();
         if let Some(d) = durability.as_mut() {
-            let record =
-                WalRecord { seq: d.next_seq, ts_ms, name: name.to_string(), version, hash, op };
+            let record = RecordRef { seq: d.next_seq, ts_ms, name, version, hash, op };
             // Write-ahead discipline: if this append (or its fsync)
             // fails, the WAL rolls the partial bytes back, the registry
             // is left untouched — never acked, never applied — and the
@@ -1110,7 +1102,7 @@ impl Engine {
             // keep serving from memory. Each attempt still runs the
             // append, so the first one that lands (space freed, fault
             // window over) clears the flag by itself.
-            match d.wal.append(&record) {
+            match d.wal.append_ref(&record) {
                 Ok(synced) => {
                     d.next_seq += 1;
                     d.since_snapshot += 1;
@@ -1172,7 +1164,7 @@ impl Engine {
         // change between these reads. Objects committed under several
         // names may park in several shards; the seen-set dedups them.
         let mut cases: Vec<ManifestCase> = Vec::new();
-        let mut missing: Vec<(u64, PackedCase)> = Vec::new();
+        let mut missing: Vec<(u64, Arc<str>)> = Vec::new();
         let mut seen: HashSet<u64> = HashSet::new();
         for shard in &self.registries {
             let registry = lock_unpoisoned(shard);
@@ -1185,18 +1177,16 @@ impl Engine {
                     .objects
                     .iter()
                     .filter(|(hash, _)| seen.insert(**hash) && !d.store.has_object(**hash))
-                    .map(|(hash, packed)| (*hash, packed.clone())),
+                    .map(|(hash, packed)| (*hash, Arc::clone(&packed.doc))),
             );
         }
         cases.sort_by(|a, b| a.name.cmp(&b.name));
         let manifest = Manifest { seq: d.next_seq - 1, cases };
-        // Unpacking and object writes run outside every shard lock;
-        // only already-committed (immutable) objects are touched.
-        for (hash, packed) in missing {
-            let doc = packed
-                .doc_value()
-                .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))?;
-            d.store.write_object(hash, &doc)?;
+        // Object writes run outside every shard lock; only
+        // already-committed (immutable) objects are touched, and their
+        // packed bytes are already the canonical object text.
+        for (hash, doc) in missing {
+            d.store.write_object_text(hash, &doc)?;
         }
         d.store.write_manifest(&manifest)?;
         d.wal.truncate()?;
@@ -1213,12 +1203,8 @@ impl Engine {
         let hash = case.content_hash();
         let nodes = case.iter().count();
         lock_unpoisoned(self.cache(hash)).insert(hash, Arc::new(compiled));
-        let version = self.commit_mutation(
-            name,
-            PackedCase::pack(&case),
-            hash,
-            WalOp::Load { doc: doc.clone() },
-        )?;
+        let version =
+            self.commit_mutation(name, PackedCase::pack(&case), hash, OpRef::Load { doc })?;
         Ok(Value::Object(vec![
             ("name".to_string(), Value::Str(name.to_string())),
             ("version".to_string(), Value::U64(version)),
@@ -1388,7 +1374,7 @@ impl Engine {
         let rendered: Vec<Value> = telemetry::with_span("batch_assembly", || {
             answers
                 .into_iter()
-                .map(|a| a.expect("every batch item is answered").to_item_value())
+                .map(|a| a.expect("every batch item is answered").into_item_value())
                 .collect()
         });
         Ok(Value::Object(vec![("items".to_string(), Value::Array(rendered))]))
@@ -1450,9 +1436,13 @@ impl Engine {
                 },
             }
         }
+        // Items sharing an answer get copies; the last one takes it.
         let fill = |answers: &mut [Option<Response>], idxs: &[usize], response: Response| {
-            for &i in idxs {
-                answers[i] = Some(response.clone());
+            if let Some((&last, rest)) = idxs.split_last() {
+                for &i in rest {
+                    answers[i] = Some(response.clone());
+                }
+                answers[last] = Some(response);
             }
         };
         if let Err(e) = check_deadline(deadline) {
@@ -1587,7 +1577,7 @@ impl Engine {
             name,
             packed,
             hash,
-            WalOp::Edit { base_hash: entry.hash, action: action.clone() },
+            OpRef::Edit { base_hash: entry.hash, action },
         )?;
         lock_unpoisoned(&self.stats).note_edit(delta.nodes_recomputed, delta.nodes_reused);
         let mut fields = vec![
@@ -1833,13 +1823,12 @@ impl Engine {
             let Err(reason) = verify_object(&d.store, hash) else { continue };
             corrupt_found += 1;
             // The registry's parked copy was verified when it entered
-            // (load, edit, or checked restore): re-serializing it is a
-            // faithful repair. With no reachable copy the damaged bytes
-            // leave the serving path for `quarantine/`.
+            // (load, edit, or checked restore): writing its packed bytes
+            // back is a faithful repair. With no reachable copy the
+            // damaged bytes leave the serving path for `quarantine/`.
             let parked = self.parked_object(hash);
-            let rewritten = parked.is_some_and(|packed| {
-                packed.doc_value().is_ok_and(|doc| d.store.rewrite_object(hash, &doc).is_ok())
-            });
+            let rewritten =
+                parked.is_some_and(|packed| d.store.rewrite_object_text(hash, &packed.doc).is_ok());
             if rewritten {
                 repaired += 1;
                 lock_unpoisoned(&self.corrupt).hashes.remove(&hash);

@@ -72,8 +72,10 @@ use serde::{Deserialize, Serialize, Value};
 /// A raw [`Value`] viewed as a (de)serializable document.
 ///
 /// The vendored `serde` implements its traits on typed data, not on
-/// `Value` itself; this newtype closes the gap so the service can parse
-/// and print request/response lines it assembles by hand.
+/// `Value` itself; this newtype closes the gap for callers of the typed
+/// `serde_json` API. Both directions copy the whole tree, so the
+/// service's own paths use the value-level entry points
+/// (`serde_json::value_from_str`, `serde_json::push_value`) instead.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Json(pub Value);
 
@@ -609,30 +611,31 @@ fn opt_u64(obj: &[(String, Value)], name: &str, default: u64) -> Result<u64, Wir
 /// a smuggled second `op` or `id` silently shadow the first.
 fn find_duplicate_key(value: &Value) -> Option<&str> {
     match value {
-        Value::Object(entries) => {
-            let mut seen = std::collections::HashSet::with_capacity(entries.len());
-            for (key, child) in entries {
-                if !seen.insert(key.as_str()) {
-                    return Some(key);
-                }
-                if let Some(dup) = find_duplicate_key(child) {
-                    return Some(dup);
-                }
-            }
-            None
-        }
+        Value::Object(entries) => find_duplicate_entry(entries),
         Value::Array(items) => items.iter().find_map(find_duplicate_key),
         _ => None,
     }
+}
+
+/// [`find_duplicate_key`] over one object's entries.
+fn find_duplicate_entry(entries: &[(String, Value)]) -> Option<&str> {
+    let mut seen = std::collections::HashSet::with_capacity(entries.len());
+    for (key, child) in entries {
+        if !seen.insert(key.as_str()) {
+            return Some(key);
+        }
+        if let Some(dup) = find_duplicate_key(child) {
+            return Some(dup);
+        }
+    }
+    None
 }
 
 /// Best-effort recovery of the `id` from a request line, for error
 /// paths that must echo it without a full (or successful) parse.
 #[must_use]
 pub fn recover_id(line: &str) -> RequestId {
-    serde_json::from_str_prefix::<Json>(line)
-        .ok()
-        .and_then(|(Json(value), _)| value.get("id").cloned())
+    serde_json::value_from_str_prefix(line).ok().and_then(|(value, _)| value.get("id").cloned())
 }
 
 /// Parses one request line into its envelope (id, deadline, operation).
@@ -644,7 +647,7 @@ pub fn recover_id(line: &str) -> RequestId {
 /// error response still echoes it ([`None`] when the line was not even
 /// a JSON object).
 pub fn parse_request(line: &str) -> Result<Envelope, (RequestId, WireError)> {
-    let (Json(value), consumed) = serde_json::from_str_prefix::<Json>(line)
+    let (mut value, consumed) = serde_json::value_from_str_prefix(line)
         .map_err(|e| (None, WireError::new(ErrorCode::BadJson, e)))?;
     let id = value.get("id").cloned();
     if !line[consumed..].trim().is_empty() {
@@ -656,17 +659,17 @@ pub fn parse_request(line: &str) -> Result<Envelope, (RequestId, WireError)> {
             ),
         ));
     }
-    let Some(obj) = value.as_object() else {
+    let Value::Object(obj) = &mut value else {
         return Err((id, WireError::new(ErrorCode::BadRequest, "request must be a JSON object")));
     };
-    if let Some(key) = find_duplicate_key(&value) {
+    if let Some(key) = find_duplicate_entry(obj) {
         return Err((
             id,
             WireError::new(ErrorCode::BadRequest, format!("duplicate key `{key}` in request")),
         ));
     }
     let parsed = parse_version(obj).and_then(|version| {
-        let request = parse_op(&value, obj, version)?;
+        let request = parse_op(obj, version)?;
         let deadline_ms = match obj.iter().find(|(k, _)| k == "deadline_ms") {
             None => None,
             Some((_, v)) => Some(v.as_u64().ok_or_else(|| {
@@ -697,21 +700,23 @@ fn parse_version(obj: &[(String, Value)]) -> Result<ProtocolVersion, WireError> 
     }
 }
 
-fn parse_op(
-    value: &Value,
-    obj: &[(String, Value)],
-    version: ProtocolVersion,
-) -> Result<Request, WireError> {
+/// Parses the operation named by `op`. A `load` moves its case document
+/// out of `obj` rather than copying it.
+fn parse_op(obj: &mut [(String, Value)], version: ProtocolVersion) -> Result<Request, WireError> {
     let op = str_field(obj, "op")?;
     let request = match op.as_str() {
         // `batch` exists only in v2 — v1 keeps its exact op surface, so
         // the spelling stays `unknown_op` there.
         "batch" if version == ProtocolVersion::V2 => parse_batch(obj)?,
         "load" => {
-            let case = serde::field(obj, "case")
-                .map_err(|e| WireError::new(ErrorCode::BadRequest, e))?
-                .clone();
-            Request::Load { name: str_field(obj, "name")?, case }
+            let case = obj
+                .iter()
+                .position(|(k, _)| k == "case")
+                .ok_or_else(|| WireError::new(ErrorCode::BadRequest, "missing field `case`"))?;
+            Request::Load {
+                name: str_field(obj, "name")?,
+                case: std::mem::replace(&mut obj[case].1, Value::Null),
+            }
         }
         "eval" => {
             let version = obj.iter().find(|(k, _)| k == "version");
@@ -766,7 +771,7 @@ fn parse_op(
                     return Err(WireError::new(ErrorCode::BadRequest, "missing field `pfd_bound`"))
                 }
             };
-            let mode = match value.get("mode") {
+            let mode = match serde::field(obj, "mode").ok() {
                 None => WireDemandMode::LowDemand,
                 Some(Value::Str(s)) => WireDemandMode::parse(s)?,
                 Some(_) => {
@@ -810,13 +815,13 @@ fn parse_op(
 /// (array present, non-empty, within [`MAX_BATCH_ITEMS`]) must be
 /// right; each item then parses independently, with its failures stored
 /// in its own slot.
-fn parse_batch(obj: &[(String, Value)]) -> Result<Request, WireError> {
-    let items = match serde::field(obj, "items") {
-        Ok(Value::Array(items)) => items,
-        Ok(_) => {
+fn parse_batch(obj: &mut [(String, Value)]) -> Result<Request, WireError> {
+    let items = match obj.iter_mut().find(|(k, _)| k == "items") {
+        Some((_, Value::Array(items))) => items,
+        Some(_) => {
             return Err(WireError::new(ErrorCode::BadRequest, "field `items` must be an array"))
         }
-        Err(e) => return Err(WireError::new(ErrorCode::BadRequest, e)),
+        None => return Err(WireError::new(ErrorCode::BadRequest, "missing field `items`")),
     };
     if items.is_empty() {
         return Err(WireError::new(ErrorCode::BadRequest, "a batch needs at least one item"));
@@ -827,13 +832,13 @@ fn parse_batch(obj: &[(String, Value)]) -> Result<Request, WireError> {
             format!("a batch carries at most {MAX_BATCH_ITEMS} items, got {}", items.len()),
         ));
     }
-    let items = items.iter().map(parse_batch_item).collect();
+    let items = items.iter_mut().map(parse_batch_item).collect();
     Ok(Request::Batch { items })
 }
 
-fn parse_batch_item(item: &Value) -> BatchItem {
+fn parse_batch_item(item: &mut Value) -> BatchItem {
     let failed = |err: WireError| BatchItem { deadline_ms: None, request: Err(err) };
-    let Some(obj) = item.as_object() else {
+    let Value::Object(obj) = item else {
         return failed(WireError::new(ErrorCode::BadRequest, "batch items must be JSON objects"));
     };
     if obj.iter().any(|(k, _)| k == "id") {
@@ -855,7 +860,7 @@ fn parse_batch_item(item: &Value) -> BatchItem {
     };
     let request = match str_field(obj, "op").as_deref() {
         Ok("batch") => Err(WireError::new(ErrorCode::BadRequest, "batches do not nest")),
-        _ => parse_op(item, obj, ProtocolVersion::V2).map(Box::new),
+        _ => parse_op(obj, ProtocolVersion::V2).map(Box::new),
     };
     BatchItem { deadline_ms, request }
 }
@@ -894,42 +899,45 @@ pub enum Response {
 impl Response {
     /// Renders the response as one wire line (no trailing newline):
     /// `{"id":…,"ok":…}` for v1 — byte-identical to the pre-versioning
-    /// grammar — and `{"id":…,"v":2,"ok":…}` for v2.
+    /// grammar — and `{"id":…,"v":2,"ok":…}` for v2. The envelope is
+    /// written around the borrowed result, which is never copied.
     #[must_use]
     pub fn render(&self, version: ProtocolVersion, id: &RequestId) -> String {
-        let mut fields = Vec::with_capacity(4);
+        let mut out = String::from("{");
         if let Some(id) = id {
-            fields.push(("id".to_string(), id.clone()));
+            out.push_str("\"id\":");
+            serde_json::push_value(&mut out, id);
+            out.push(',');
         }
         if version == ProtocolVersion::V2 {
-            fields.push(("v".to_string(), Value::U64(2)));
+            out.push_str("\"v\":2,");
         }
         match self {
             Response::Ok(result) => {
-                fields.push(("ok".to_string(), Value::Bool(true)));
-                fields.push(("result".to_string(), result.clone()));
+                out.push_str("\"ok\":true,\"result\":");
+                serde_json::push_value(&mut out, result);
             }
             Response::Err(err) => {
-                fields.push(("ok".to_string(), Value::Bool(false)));
-                fields.push(("error".to_string(), error_value(err)));
+                out.push_str("\"ok\":false,\"error\":");
+                serde_json::push_value(&mut out, &error_value(err));
             }
         }
-        serde_json::to_string(&Json(Value::Object(fields)))
-            .expect("response serialization is infallible")
+        out.push('}');
+        out
     }
 
     /// The response as a bare `{"ok":…}` object — the per-item shape
-    /// inside a `batch` result's `items` array.
+    /// inside a `batch` result's `items` array. Moves the result in.
     #[must_use]
-    pub fn to_item_value(&self) -> Value {
+    pub fn into_item_value(self) -> Value {
         match self {
             Response::Ok(result) => Value::Object(vec![
                 ("ok".to_string(), Value::Bool(true)),
-                ("result".to_string(), result.clone()),
+                ("result".to_string(), result),
             ]),
             Response::Err(err) => Value::Object(vec![
                 ("ok".to_string(), Value::Bool(false)),
-                ("error".to_string(), error_value(err)),
+                ("error".to_string(), error_value(&err)),
             ]),
         }
     }
@@ -1339,9 +1347,9 @@ mod tests {
 
     #[test]
     fn batch_item_values_mirror_response_bodies() {
-        let ok = Response::Ok(Value::U64(3)).to_item_value();
+        let ok = Response::Ok(Value::U64(3)).into_item_value();
         assert_eq!(serde_json::to_string(&Json(ok)).unwrap(), r#"{"ok":true,"result":3}"#);
-        let err = Response::Err(WireError::new(ErrorCode::UnknownCase, "nope")).to_item_value();
+        let err = Response::Err(WireError::new(ErrorCode::UnknownCase, "nope")).into_item_value();
         assert_eq!(
             serde_json::to_string(&Json(err)).unwrap(),
             r#"{"ok":false,"error":{"code":"unknown_case","message":"nope"}}"#

@@ -25,9 +25,10 @@
 //! previous manifest intact and the WAL untouched — the new objects
 //! are garbage that the next snapshot simply reuses.
 
-use crate::protocol::{format_hash, parse_hash, Json};
+use crate::protocol::{format_hash, parse_hash};
 use crate::storage_io::{RealIo, StorageIo};
 use serde::Value;
+use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -64,32 +65,33 @@ pub struct Manifest {
 }
 
 impl Manifest {
-    fn to_value(&self) -> Value {
-        let cases = self
-            .cases
-            .iter()
-            .map(|c| {
-                let history = c
-                    .history
-                    .iter()
-                    .map(|v| {
-                        Value::Object(vec![
-                            ("version".to_string(), Value::U64(v.version)),
-                            ("hash".to_string(), Value::Str(format_hash(v.hash))),
-                            ("ts_ms".to_string(), Value::U64(v.ts_ms)),
-                        ])
-                    })
-                    .collect();
-                Value::Object(vec![
-                    ("name".to_string(), Value::Str(c.name.clone())),
-                    ("history".to_string(), Value::Array(history)),
-                ])
-            })
-            .collect();
-        Value::Object(vec![
-            ("seq".to_string(), Value::U64(self.seq)),
-            ("cases".to_string(), Value::Array(cases)),
-        ])
+    /// The manifest's JSON text, written field by field: the bytes a
+    /// serialized `Value` tree of it would have, without building one.
+    fn to_text(&self) -> String {
+        let mut out = String::new();
+        let _ = write!(out, r#"{{"seq":{},"cases":["#, self.seq);
+        for (i, case) in self.cases.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            out.push_str(r#"{"name":"#);
+            serde_json::push_string(&mut out, &case.name);
+            out.push_str(r#","history":["#);
+            for (j, v) in case.history.iter().enumerate() {
+                if j > 0 {
+                    out.push(',');
+                }
+                // `{:016x}` is `format_hash`'s spelling, without its String.
+                let _ = write!(
+                    out,
+                    r#"{{"version":{},"hash":"{:016x}","ts_ms":{}}}"#,
+                    v.version, v.hash, v.ts_ms
+                );
+            }
+            out.push_str("]}");
+        }
+        out.push_str("]}");
+        out
     }
 
     fn from_value(value: &Value) -> Result<Manifest, String> {
@@ -214,7 +216,7 @@ impl Store {
         };
         let text =
             String::from_utf8(bytes).map_err(|e| invalid(format!("manifest is not UTF-8: {e}")))?;
-        let Json(value) = serde_json::from_str::<Json>(&text)
+        let value = serde_json::value_from_str(&text)
             .map_err(|e| invalid(format!("manifest does not parse: {e}")))?;
         Manifest::from_value(&value).map(Some).map_err(invalid)
     }
@@ -225,9 +227,7 @@ impl Store {
     ///
     /// [`std::io::Error`] on write failure.
     pub fn write_manifest(&self, manifest: &Manifest) -> std::io::Result<()> {
-        let text = serde_json::to_string(&Json(manifest.to_value()))
-            .expect("manifest serialization is infallible");
-        write_atomic(&self.io, &self.manifest_path(), text.as_bytes())
+        write_atomic(&self.io, &self.manifest_path(), manifest.to_text().as_bytes())
     }
 
     /// True when the object for `hash` is already stored.
@@ -245,24 +245,31 @@ impl Store {
     ///
     /// [`std::io::Error`] on write failure.
     pub fn write_object(&self, hash: u64, doc: &Value) -> std::io::Result<bool> {
-        let path = self.object_path(hash);
-        if self.io.exists(&path) {
-            return Ok(false);
-        }
-        self.rewrite_object(hash, doc)?;
-        Ok(true)
+        self.write_object_text(hash, &serde_json::value_to_string(doc))
     }
 
-    /// Writes one case document under its content hash *unconditionally*
-    /// — the repair path, which must replace a corrupt object rather
-    /// than dedup against its existence.
+    /// [`Store::write_object`] of a document already serialized — the
+    /// canonical text the engine keeps for every committed case.
     ///
     /// # Errors
     ///
     /// [`std::io::Error`] on write failure.
-    pub fn rewrite_object(&self, hash: u64, doc: &Value) -> std::io::Result<()> {
-        let text = serde_json::to_string(&Json(doc.clone()))
-            .expect("document serialization is infallible");
+    pub(crate) fn write_object_text(&self, hash: u64, text: &str) -> std::io::Result<bool> {
+        if self.has_object(hash) {
+            return Ok(false);
+        }
+        self.rewrite_object_text(hash, text)?;
+        Ok(true)
+    }
+
+    /// Writes one serialized case document under its content hash
+    /// *unconditionally* — the repair path, which must replace a corrupt
+    /// object rather than dedup against its existence.
+    ///
+    /// # Errors
+    ///
+    /// [`std::io::Error`] on write failure.
+    pub(crate) fn rewrite_object_text(&self, hash: u64, text: &str) -> std::io::Result<()> {
         write_atomic(&self.io, &self.object_path(hash), text.as_bytes())
     }
 
@@ -276,9 +283,8 @@ impl Store {
         let bytes = self.io.read_file(&self.object_path(hash))?;
         let text = String::from_utf8(bytes)
             .map_err(|e| invalid(format!("object {} is not UTF-8: {e}", format_hash(hash))))?;
-        let Json(value) = serde_json::from_str::<Json>(&text)
-            .map_err(|e| invalid(format!("object {} does not parse: {e}", format_hash(hash))))?;
-        Ok(value)
+        serde_json::value_from_str(&text)
+            .map_err(|e| invalid(format!("object {} does not parse: {e}", format_hash(hash))))
     }
 
     /// Every content hash with an object file currently stored, parsed
@@ -392,7 +398,7 @@ mod tests {
         assert_eq!(store.object_hashes().unwrap(), vec![0xbb]);
 
         let repaired = Value::Object(vec![("title".into(), Value::Str("fixed".into()))]);
-        store.rewrite_object(0xbb, &repaired).unwrap();
+        store.rewrite_object_text(0xbb, &serde_json::value_to_string(&repaired)).unwrap();
         assert_eq!(store.read_object(0xbb).unwrap(), repaired, "rewrite must replace, not dedup");
         std::fs::remove_dir_all(root).unwrap();
     }

@@ -424,8 +424,7 @@ impl Telemetry {
             }
         }
         if is_slow {
-            let line = serde_json::to_string(&crate::protocol::Json(trace_to_value(&trace)))
-                .unwrap_or_default();
+            let line = serde_json::value_to_string(&trace_to_value(&trace));
             eprintln!(
                 "[telemetry] slow request ({} ms >= threshold): {line}",
                 trace.total_ns / 1_000_000

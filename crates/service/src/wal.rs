@@ -34,9 +34,10 @@
 //! plus the resulting hash, which doubles as an end-to-end check that
 //! replay reproduced the original state.
 
-use crate::protocol::{format_hash, parse_hash, EditAction, ErrorCode, Json, WireError};
+use crate::protocol::{format_hash, parse_hash, EditAction, ErrorCode, WireError};
 use crate::storage_io::{AppendFile, RealIo, StorageIo};
 use serde::Value;
+use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -115,36 +116,74 @@ pub struct WalRecord {
     pub op: WalOp,
 }
 
-impl WalRecord {
-    fn to_value(&self) -> Value {
-        let mut fields = vec![
-            ("seq".to_string(), Value::U64(self.seq)),
-            ("ts_ms".to_string(), Value::U64(self.ts_ms)),
-            (
-                "op".to_string(),
-                Value::Str(
-                    match self.op {
-                        WalOp::Load { .. } => "load",
-                        WalOp::Edit { .. } => "edit",
-                    }
-                    .to_string(),
-                ),
-            ),
-            ("name".to_string(), Value::Str(self.name.clone())),
-            ("version".to_string(), Value::U64(self.version)),
-            ("hash".to_string(), Value::Str(format_hash(self.hash))),
-        ];
-        match &self.op {
-            WalOp::Load { doc } => fields.push(("case".to_string(), doc.clone())),
-            WalOp::Edit { base_hash, action } => {
-                fields.push(("base_hash".to_string(), Value::Str(format_hash(*base_hash))));
-                fields.push(("action".to_string(), action.to_value()));
+/// A record as [`Wal::append_ref`] writes it: a [`WalRecord`] borrowing
+/// its name and mutation, so a `load` is logged straight from the
+/// request's own case document instead of from a copy.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct RecordRef<'a> {
+    pub seq: u64,
+    pub ts_ms: u64,
+    pub name: &'a str,
+    pub version: u64,
+    pub hash: u64,
+    pub op: OpRef<'a>,
+}
+
+/// A [`WalOp`] by reference.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum OpRef<'a> {
+    Load { doc: &'a Value },
+    Edit { base_hash: u64, action: &'a EditAction },
+}
+
+impl RecordRef<'_> {
+    /// Appends the record's JSON payload to `out`, field by field, in
+    /// the order replay has always read: `seq`, `ts_ms`, `op`, `name`,
+    /// `version`, `hash`, then `case` or `base_hash` + `action`.
+    fn write_payload(&self, out: &mut String) {
+        let op = match self.op {
+            OpRef::Load { .. } => "load",
+            OpRef::Edit { .. } => "edit",
+        };
+        let _ = write!(out, r#"{{"seq":{},"ts_ms":{},"op":"{op}","name":"#, self.seq, self.ts_ms);
+        serde_json::push_string(out, self.name);
+        let _ = write!(out, r#","version":{},"hash":"{}""#, self.version, format_hash(self.hash));
+        match self.op {
+            OpRef::Load { doc } => {
+                out.push_str(r#","case":"#);
+                serde_json::push_value(out, doc);
+            }
+            OpRef::Edit { base_hash, action } => {
+                let _ = write!(out, r#","base_hash":"{}","action":"#, format_hash(base_hash));
+                serde_json::push_value(out, &action.to_value());
             }
         }
-        Value::Object(fields)
+        out.push('}');
+    }
+}
+
+impl WalRecord {
+    fn borrowed(&self) -> RecordRef<'_> {
+        RecordRef {
+            seq: self.seq,
+            ts_ms: self.ts_ms,
+            name: &self.name,
+            version: self.version,
+            hash: self.hash,
+            op: match &self.op {
+                WalOp::Load { doc } => OpRef::Load { doc },
+                WalOp::Edit { base_hash, action } => OpRef::Edit { base_hash: *base_hash, action },
+            },
+        }
     }
 
-    fn from_value(value: &Value) -> Result<WalRecord, String> {
+    /// Rebuilds a record from its parsed payload, moving a `load`'s case
+    /// document out of it rather than copying it.
+    fn from_value(mut value: Value) -> Result<WalRecord, String> {
+        let doc = match value.get("op").and_then(Value::as_str) {
+            Some("load") => Some(take_field(&mut value, "case").ok_or("missing `case`")?),
+            _ => None,
+        };
         let field = |name: &str| value.get(name).ok_or_else(|| format!("missing `{name}`"));
         let u64_field = |name: &str| {
             field(name)?.as_u64().ok_or_else(|| format!("`{name}` must be a non-negative integer"))
@@ -159,9 +198,9 @@ impl WalRecord {
             .as_str()
             .ok_or_else(|| "`name` must be a string".to_string())?
             .to_string();
-        let op = match field("op")?.as_str() {
-            Some("load") => WalOp::Load { doc: field("case")?.clone() },
-            Some("edit") => WalOp::Edit {
+        let op = match (field("op")?.as_str(), doc) {
+            (Some("load"), Some(doc)) => WalOp::Load { doc },
+            (Some("edit"), _) => WalOp::Edit {
                 base_hash: hash_field("base_hash")?,
                 action: EditAction::from_fields(
                     field("action")?
@@ -181,6 +220,12 @@ impl WalRecord {
             op,
         })
     }
+}
+
+/// Moves the first `name` entry out of an object, leaving `null` behind.
+fn take_field(value: &mut Value, name: &str) -> Option<Value> {
+    let Value::Object(fields) = value else { return None };
+    fields.iter_mut().find(|(k, _)| k == name).map(|(_, v)| std::mem::replace(v, Value::Null))
 }
 
 /// What [`Wal::open`] found on disk.
@@ -302,14 +347,23 @@ impl Wal {
     /// not ack the mutation (the engine answers `read_only` with a
     /// retry hint and flips to read-only mode until an append lands).
     pub fn append(&mut self, record: &WalRecord) -> std::io::Result<bool> {
+        self.append_ref(&record.borrowed())
+    }
+
+    /// [`Wal::append`] of a borrowed record.
+    ///
+    /// # Errors
+    ///
+    /// As for [`Wal::append`].
+    pub(crate) fn append_ref(&mut self, record: &RecordRef<'_>) -> std::io::Result<bool> {
         if self.dirty {
             // A previous rollback failed; clean the tail before letting
             // anything new in, or the scan would stop at the garbage.
             self.file.truncate(self.len)?;
             self.dirty = false;
         }
-        let payload = serde_json::to_string(&Json(record.to_value()))
-            .expect("record serialization is infallible");
+        let mut payload = String::new();
+        record.write_payload(&mut payload);
         let line =
             format!("{MAGIC} {} {:016x} {payload}\n", payload.len(), fnv64(payload.as_bytes()));
         let started = std::time::Instant::now();
@@ -425,8 +479,8 @@ fn parse_record(bytes: &[u8], records: &mut Vec<WalRecord>, last_seq: &mut u64) 
     if fnv64(payload) != checksum {
         return None;
     }
-    let Json(value) = serde_json::from_str::<Json>(std::str::from_utf8(payload).ok()?).ok()?;
-    let record = WalRecord::from_value(&value).ok()?;
+    let value = serde_json::value_from_str(std::str::from_utf8(payload).ok()?).ok()?;
+    let record = WalRecord::from_value(value).ok()?;
     if record.seq <= *last_seq {
         return None;
     }
@@ -619,6 +673,50 @@ mod tests {
         let (_, replay) = Wal::open_with_io(&path, FsyncPolicy::Never, &io).unwrap();
         assert_eq!(replay.records, records[..2]);
         assert!(!replay.torn_tail_dropped, "rollback must leave nothing to truncate");
+    }
+
+    /// A record payload as a tree-building writer rendered it.
+    fn tree_payload(record: &WalRecord) -> String {
+        let mut fields = vec![
+            ("seq".to_string(), Value::U64(record.seq)),
+            ("ts_ms".to_string(), Value::U64(record.ts_ms)),
+        ];
+        let op = match record.op {
+            WalOp::Load { .. } => "load",
+            WalOp::Edit { .. } => "edit",
+        };
+        fields.push(("op".to_string(), Value::Str(op.to_string())));
+        fields.push(("name".to_string(), Value::Str(record.name.clone())));
+        fields.push(("version".to_string(), Value::U64(record.version)));
+        fields.push(("hash".to_string(), Value::Str(format_hash(record.hash))));
+        match &record.op {
+            WalOp::Load { doc } => fields.push(("case".to_string(), doc.clone())),
+            WalOp::Edit { base_hash, action } => {
+                fields.push(("base_hash".to_string(), Value::Str(format_hash(*base_hash))));
+                fields.push(("action".to_string(), action.to_value()));
+            }
+        }
+        serde_json::to_string(&crate::protocol::Json(Value::Object(fields))).unwrap()
+    }
+
+    #[test]
+    fn payloads_are_written_byte_identically_to_the_value_tree() {
+        let mut records = sample_records();
+        let odd = "re\"act\\or\n\u{1}é😀";
+        records.extend(sample_records().into_iter().map(|r| WalRecord { name: odd.into(), ..r }));
+        records.push(WalRecord {
+            op: WalOp::Load {
+                doc: Value::Object(vec![(odd.into(), Value::Array(vec![Value::F64(0.1)]))]),
+            },
+            ..sample_records()[0].clone()
+        });
+        for record in &records {
+            let mut direct = String::new();
+            record.borrowed().write_payload(&mut direct);
+            assert_eq!(direct, tree_payload(record));
+            let parsed = serde_json::value_from_str(&direct).unwrap();
+            assert_eq!(&WalRecord::from_value(parsed).unwrap(), record);
+        }
     }
 
     #[test]
