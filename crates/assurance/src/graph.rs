@@ -142,6 +142,12 @@ impl Deserialize for Case {
             if by_name.insert(node.name.clone(), i).is_some() {
                 return Err(serde::Error::custom(format!("duplicate node name: {}", node.name)));
             }
+            if let NodeKind::Evidence { confidence: c } | NodeKind::Assumption { confidence: c } =
+                node.kind
+            {
+                check_confidence(c)
+                    .map_err(|e| serde::Error::custom(format!("node {}: {e}", node.name)))?;
+            }
         }
         Ok(Self { title, nodes, children, by_name })
     }
@@ -737,6 +743,23 @@ mod tests {
         // Duplicate names would corrupt the rebuilt index.
         let dup = r#"{"schema":1,"title":"t","nodes":[{"name":"G1","statement":"a","kind":"Goal"},{"name":"G1","statement":"b","kind":"Goal"}],"children":[[],[]]}"#;
         assert!(serde_json::from_str::<Case>(dup).is_err());
+    }
+
+    #[test]
+    fn decoded_leaf_confidences_must_lie_in_the_unit_interval() {
+        // `null` decodes to NaN; every leaf kind is checked, with the
+        // same message `add_evidence` gives.
+        for (kind, bad) in
+            [("Evidence", "1.5"), ("Evidence", "-0.1"), ("Evidence", "null"), ("Assumption", "2")]
+        {
+            let doc = format!(
+                r#"{{"schema":1,"title":"t","nodes":[{{"name":"G1","statement":"a","kind":"Goal"}},{{"name":"L1","statement":"b","kind":{{"{kind}":{{"confidence":{bad}}}}}}}],"children":[[1],[]]}}"#
+            );
+            let err = serde_json::from_str::<Case>(&doc).unwrap_err().to_string();
+            assert!(err.contains("node L1: invalid confidence"), "{kind} {bad}: {err}");
+        }
+        let ok = r#"{"schema":1,"title":"t","nodes":[{"name":"G1","statement":"a","kind":"Goal"},{"name":"E1","statement":"b","kind":{"Evidence":{"confidence":1.0}}}],"children":[[1],[]]}"#;
+        assert!(serde_json::from_str::<Case>(ok).is_ok(), "the unit interval is closed");
     }
 
     #[test]

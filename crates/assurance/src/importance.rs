@@ -6,10 +6,15 @@
 //! confidence — the classic Birnbaum importance measure, evaluated by
 //! finite differencing the propagation. [`improvement_value`] reports
 //! the absolute gain from driving one leaf to certainty.
+//! The case is propagated once; each leaf then costs O(spine): its
+//! ancestor spine is re-evaluated at 1 and at 0 on the values buffer
+//! and restored. A node's value depends only on its children's, so
+//! each probe is bit-identical to clone, set leaf, propagate.
 
 use crate::error::Result;
-use crate::graph::{Case, NodeId, NodeKind};
-use crate::incremental::Incremental;
+use crate::graph::{Case, NodeId};
+use crate::ir::{CaseIr, Spine};
+use crate::propagation::{recompute, NodeConfidence};
 
 /// One leaf's importance figures.
 #[derive(Debug, Clone, PartialEq)]
@@ -62,32 +67,34 @@ pub fn birnbaum_importance(case: &Case) -> Result<Vec<LeafImportance>> {
             roots.len()
         )));
     }
-    let root = roots[0];
-    // One incremental session serves every perturbation: each probe
-    // recomputes only the leaf's dirty spine, and restoring the elicited
-    // value is answered from the subtree-hash memo. The floats are
-    // bit-identical to clone-and-propagate because both paths run the
-    // same combination kernel on the same inputs.
-    let mut session = Incremental::new(case.clone())?;
-    let base = session.confidence(root).expect("root participates").independent;
-
-    let mut out = Vec::new();
-    for (id, node) in case.iter() {
-        let conf = match node.kind {
-            NodeKind::Evidence { confidence } | NodeKind::Assumption { confidence } => confidence,
-            _ => continue,
-        };
+    let root = roots[0].to_index();
+    case.validate()?;
+    let ir = CaseIr::build(case)?;
+    let mut values = vec![None; ir.len()];
+    recompute(&ir, ir.topo(), &mut values);
+    let base = values[root].expect("the root participates").independent;
+    let mut out = Vec::with_capacity((0..ir.len()).filter(|&i| ir.kind(i).is_leaf()).count());
+    let (mut scratch, mut saved) = (Spine::default(), Vec::new());
+    for i in 0..ir.len() {
+        let Some(conf) = ir.kind(i).confidence() else { continue };
+        let spine = ir.dirty_spine(i, &mut scratch);
+        saved.clear();
+        saved.extend(spine.iter().map(|&n| values[n as usize]));
         // Birnbaum importance for coherent structures: the root
         // confidence is multilinear in each leaf, so the exact partial
         // derivative is the secant slope between leaf = 0 and leaf = 1.
-        session.set_confidence(id, 1.0)?;
-        let hi = session.confidence(root).expect("root").independent;
-        session.set_confidence(id, 0.0)?;
-        let lo = session.confidence(root).expect("root").independent;
-        session.set_confidence(id, conf)?;
+        let mut probe = |c| {
+            values[i] = Some(NodeConfidence::from_point(c));
+            recompute(&ir, &spine[1..], &mut values);
+            values[root].expect("the root participates").independent
+        };
+        let (hi, lo) = (probe(1.0), probe(0.0));
+        for (&n, &v) in spine.iter().zip(&saved) {
+            values[n as usize] = v;
+        }
         out.push(LeafImportance {
-            node: id,
-            name: node.name.clone(),
+            node: NodeId::from_index(i),
+            name: case.node_at(i).name.clone(),
             confidence: conf,
             birnbaum: hi - lo,
             gain_if_certain: hi - base,

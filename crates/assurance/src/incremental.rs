@@ -11,12 +11,10 @@
 //! The memo table makes *revisited* states free: because keys are
 //! Merkle-style subtree hashes, undoing an edit (or re-eliciting the
 //! same confidence) finds every spine value already computed and counts
-//! it as reused instead of recomputed. Importance analysis leans on
-//! exactly this: each leaf is driven to 1, to 0, then restored, and the
-//! restore pass is pure reuse. With [`Incremental::with_memo`] the memo
-//! is a shared [`crate::memo::MemoStore`] instead of a private table,
-//! so the reuse extends across sessions and across *cases* that share
-//! subtrees (see [`crate::memo`]).
+//! it as reused instead of recomputed. With [`Incremental::with_memo`]
+//! the memo is a shared [`crate::memo::MemoStore`] instead of a private
+//! table, so the reuse extends across sessions and across *cases* that
+//! share subtrees (see [`crate::memo`]).
 //!
 //! Answers are bit-identical to a from-scratch
 //! [`propagate`](crate::propagation::propagate): both paths produce
@@ -26,10 +24,10 @@
 
 use crate::error::{CaseError, Result};
 use crate::graph::{Case, NodeId, NodeKind};
-use crate::ir::CaseIr;
+use crate::ir::{CaseIr, IrKind, Spine};
 use crate::memo::MemoStore;
 use crate::plan::EvalPlan;
-use crate::propagation::{eval_ir_node, ConfidenceReport, NodeConfidence};
+use crate::propagation::{eval_node, ConfidenceReport, NodeConfidence};
 use crate::trace::Tracer;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -80,12 +78,14 @@ pub enum LeafKind {
 pub struct Incremental {
     case: Case,
     ir: CaseIr,
-    values: Vec<Option<NodeConfidence>>,
+    report: ConfidenceReport,
     plan: EvalPlan,
     /// Propagated confidence keyed by subtree hash. Trusts 64-bit FNV
     /// not to collide — the same bet the service plan cache already
     /// makes on `content_hash`.
     memo: Memo,
+    /// Kept so a warm point edit allocates nothing.
+    spine: Spine,
     recomputed: u64,
     reused: u64,
 }
@@ -186,12 +186,11 @@ impl Incremental {
         case.validate()?;
         let ir = CaseIr::build(&case)?;
         let plan = EvalPlan::from_ir(&ir);
+        let (report, spine) = (ConfidenceReport::empty(&ir), Spine::default());
         let mut session =
-            Incremental { case, ir, values: Vec::new(), plan, memo, recomputed: 0, reused: 0 };
-        session.values = vec![None; session.ir.len()];
-        let topo: Vec<u32> = session.ir.topo().to_vec();
-        for &t in &topo {
-            session.eval_node(t as usize);
+            Incremental { case, ir, report, plan, memo, spine, recomputed: 0, reused: 0 };
+        for t in 0..session.ir.len() {
+            session.eval_node(session.ir.topo()[t] as usize);
         }
         Ok(session)
     }
@@ -233,15 +232,20 @@ impl Incremental {
     /// participates.
     #[must_use]
     pub fn confidence(&self, id: NodeId) -> Option<NodeConfidence> {
-        *self.values.get(self.case.index(id).ok()?)?
+        self.report.confidence(id)
     }
 
     /// Snapshots the current values as a [`ConfidenceReport`],
     /// bit-identical to `self.case().propagate()`.
     #[must_use]
     pub fn report(&self) -> ConfidenceReport {
-        let roots = self.ir.roots().iter().map(|&r| NodeId::from_index(r as usize)).collect();
-        ConfidenceReport::from_parts(self.values.clone(), roots)
+        self.report.clone()
+    }
+
+    /// The current values, borrowed: what [`Incremental::report`] copies.
+    #[must_use]
+    pub fn as_report(&self) -> &ConfidenceReport {
+        &self.report
     }
 
     /// The case's content hash, maintained incrementally — equal to
@@ -272,12 +276,8 @@ impl Incremental {
         self.case.set_leaf_confidence(id, confidence)?;
         let i = self.case.index(id)?;
         self.ir.set_leaf_confidence(i, confidence);
-        let dirty = self.ir.dirty_spine(i);
-        self.ir.recompute_hashes(&dirty);
-        for &d in &dirty {
-            self.eval_node(d as usize);
-        }
         self.plan.set_leaf_confidence(i as u32, confidence);
+        self.recompute_spine(i);
         Ok(self.delta(before))
     }
 
@@ -335,11 +335,8 @@ impl Incremental {
         };
         self.case.support(parent, id).expect("pre-validated edge cannot fail");
         self.rebuild_structure();
-        self.values.push(None);
-        let i = self.case.index(id)?;
-        for &d in &self.ir.dirty_spine(i) {
-            self.eval_node(d as usize);
-        }
+        self.report.values.push(None);
+        self.recompute_spine(self.case.index(id)?);
         Ok((id, self.delta(before)))
     }
 
@@ -375,10 +372,7 @@ impl Incremental {
         let before = self.totals();
         self.case.retarget_support(parent, from, to)?;
         self.rebuild_structure();
-        let p = self.case.index(parent)?;
-        for &d in &self.ir.dirty_spine(p) {
-            self.eval_node(d as usize);
-        }
+        self.recompute_spine(self.case.index(parent)?);
         Ok(self.delta(before))
     }
 
@@ -407,12 +401,25 @@ impl Incremental {
         self.ir = CaseIr::build(&self.case)
             .expect("edited cases stay acyclic: every edit path re-validates edges");
         self.plan = EvalPlan::from_ir(&self.ir);
+        self.report.roots = ConfidenceReport::empty(&self.ir).roots;
+    }
+
+    /// Refreshes the subtree hashes, then the values, of node `i`'s dirty
+    /// spine, children before parents.
+    fn recompute_spine(&mut self, i: usize) {
+        let mut scratch = std::mem::take(&mut self.spine);
+        let spine = self.ir.dirty_spine(i, &mut scratch);
+        self.ir.recompute_hashes(spine);
+        for &d in spine {
+            self.eval_node(d as usize);
+        }
+        self.spine = scratch;
     }
 
     /// Computes (or recalls) the value of node `i`, whose children must
     /// already hold current values.
     fn eval_node(&mut self, i: usize) {
-        if matches!(self.ir.kind(i), crate::ir::IrKind::Context) {
+        if matches!(self.ir.kind(i), IrKind::Context) {
             return;
         }
         let key = self.ir.subtree_hash(i);
@@ -420,12 +427,12 @@ impl Incremental {
             self.reused += 1;
             v
         } else {
-            let v = eval_ir_node(&self.ir, i, &self.values);
+            let v = eval_node(&self.ir, i, &self.report.values);
             self.recomputed += 1;
             self.memo.insert(key, v, Self::memo_cap(self.ir.len()));
             v
         };
-        self.values[i] = Some(value);
+        self.report.values[i] = Some(value);
     }
 
     fn delta(&self, before: EditStats) -> EditStats {

@@ -26,6 +26,8 @@
 
 use crate::error::{CaseError, Result};
 use crate::graph::{Case, Combination, NodeKind, CASE_SCHEMA_VERSION};
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 /// Minimal FNV-1a accumulator shared by the subtree and case hashes.
 #[derive(Debug, Clone, Copy)]
@@ -151,9 +153,11 @@ impl CaseIr {
             kinds.push(IrKind::of(&node.kind));
         }
 
-        // Child CSR, preserving combination order.
+        // Child CSR, preserving combination order. Every buffer is sized
+        // up front: lowering allocates a fixed count at any size.
+        let edges = (0..n).map(|i| case.children_of(i).len()).sum();
         let mut child_start = Vec::with_capacity(n + 1);
-        let mut child_list = Vec::new();
+        let mut child_list = Vec::with_capacity(edges);
         child_start.push(0u32);
         for i in 0..n {
             for &c in case.children_of(i) {
@@ -186,11 +190,12 @@ impl CaseIr {
         // step order (and therefore every sampled bit) is unchanged.
         let mut topo: Vec<u32> = Vec::with_capacity(n);
         let mut visited = vec![false; n];
+        let mut stack: Vec<(usize, usize)> = Vec::with_capacity(n);
         for root in 0..n {
             if visited[root] {
                 continue;
             }
-            let mut stack: Vec<(usize, usize)> = vec![(root, 0)];
+            stack.push((root, 0));
             visited[root] = true;
             while let Some(&(node, pos)) = stack.last() {
                 let children = case.children_of(node);
@@ -368,23 +373,22 @@ impl CaseIr {
     /// The dirty spine of node `i`: the node itself plus every ancestor,
     /// sorted children-before-parents (topological position). This is
     /// exactly the set whose values and hashes a point edit at `i`
-    /// invalidates.
-    pub(crate) fn dirty_spine(&self, i: usize) -> Vec<u32> {
-        let mut seen = vec![false; self.kinds.len()];
-        let mut stack = vec![i as u32];
-        let mut spine = Vec::new();
-        seen[i] = true;
-        while let Some(n) = stack.pop() {
-            spine.push(n);
-            for &p in self.parents(n as usize) {
-                if !seen[p as usize] {
-                    seen[p as usize] = true;
-                    stack.push(p);
-                }
+    /// invalidates. A min-heap of topological positions yields it in
+    /// O(spine · log spine): a node reached along several paths pops
+    /// its copies back to back and is kept once, with no visited array.
+    pub(crate) fn dirty_spine<'s>(&self, i: usize, scratch: &'s mut Spine) -> &'s [u32] {
+        let Spine { frontier, nodes } = scratch;
+        nodes.clear();
+        frontier.push(Reverse(self.pos[i]));
+        while let Some(Reverse(p)) = frontier.pop() {
+            let n = self.topo[p as usize];
+            if nodes.last() != Some(&n) {
+                nodes.push(n);
+                let parents = self.parents(n as usize).iter();
+                frontier.extend(parents.map(|&q| Reverse(self.pos[q as usize])));
             }
         }
-        spine.sort_by_key(|&n| self.pos[n as usize]);
-        spine
+        nodes
     }
 
     /// Recomputes subtree hashes for `dirty`, which must be sorted
@@ -394,6 +398,13 @@ impl CaseIr {
             self.hashes[i as usize] = self.node_hash(i as usize);
         }
     }
+}
+
+/// Reusable buffers for [`CaseIr::dirty_spine`].
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Spine {
+    frontier: BinaryHeap<Reverse<u32>>,
+    nodes: Vec<u32>,
 }
 
 #[cfg(test)]
@@ -499,7 +510,8 @@ mod tests {
         let before: Vec<u64> = (0..ir.len()).map(|i| ir.subtree_hash(i)).collect();
         let e1 = case.index(case.node_by_name("E1").unwrap()).unwrap();
         ir.set_leaf_confidence(e1, 0.91);
-        let dirty = ir.dirty_spine(e1);
+        let mut spine = Spine::default();
+        let dirty = ir.dirty_spine(e1, &mut spine).to_vec();
         ir.recompute_hashes(&dirty);
         // Spine = E1, S, G: exactly three nodes change.
         assert_eq!(dirty.len(), 3);
@@ -514,6 +526,49 @@ mod tests {
         let mut edited = case.clone();
         edited.set_leaf_confidence(case.node_by_name("E1").unwrap(), 0.91).unwrap();
         assert_eq!(ir.case_hash(), CaseIr::build(&edited).unwrap().case_hash());
+    }
+
+    #[test]
+    fn dirty_spine_keeps_each_ancestor_once_in_topological_order() {
+        // A lattice: every node of row r supports both neighbours in row
+        // r + 1, so the number of paths from the bottom leaf doubles per
+        // row while the spine stays one node per reachable slot.
+        let mut case = Case::new("t");
+        let rows = 8;
+        let mut grid = Vec::new();
+        for r in 0..rows {
+            let row: Vec<_> =
+                (0..=r).map(|k| case.add_goal(format!("G{r}.{k}"), "claim").unwrap()).collect();
+            grid.push(row);
+        }
+        for r in 0..rows - 1 {
+            for k in 0..=r {
+                case.support(grid[r][k], grid[r + 1][k]).unwrap();
+                case.support(grid[r][k], grid[r + 1][k + 1]).unwrap();
+            }
+        }
+        let leaf = case.add_evidence("E", "x", 0.5).unwrap();
+        case.support(grid[rows - 1][0], leaf).unwrap();
+        let ir = CaseIr::build(&case).unwrap();
+        let i = case.index(leaf).unwrap();
+        // Brute force: every node that reaches the leaf, by topo position.
+        let mut want: Vec<u32> = (0..ir.len() as u32)
+            .filter(|&n| {
+                let mut stack = vec![n as usize];
+                while let Some(m) = stack.pop() {
+                    if m == i {
+                        return true;
+                    }
+                    stack.extend(ir.children(m).iter().map(|&c| c as usize));
+                }
+                false
+            })
+            .collect();
+        want.sort_by_key(|&n| ir.pos[n as usize]);
+        let mut spine = Spine::default();
+        assert_eq!(ir.dirty_spine(i, &mut spine), want.as_slice());
+        // The scratch is reusable: a second walk gives the same answer.
+        assert_eq!(ir.dirty_spine(i, &mut spine), want.as_slice());
     }
 
     #[test]

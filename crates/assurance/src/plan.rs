@@ -742,7 +742,7 @@ impl EvalPlan {
                         })
                     })
                     .collect();
-                ConfidenceReport::from_parts(values, roots.clone())
+                ConfidenceReport { values, roots: roots.clone() }
             })
             .collect())
     }

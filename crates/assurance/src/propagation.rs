@@ -65,13 +65,15 @@ impl NodeConfidence {
 /// cache snapshots reports freely.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ConfidenceReport {
-    values: Vec<Option<NodeConfidence>>,
-    roots: Vec<NodeId>,
+    pub(crate) values: Vec<Option<NodeConfidence>>,
+    pub(crate) roots: Vec<NodeId>,
 }
 
 impl ConfidenceReport {
-    pub(crate) fn from_parts(values: Vec<Option<NodeConfidence>>, roots: Vec<NodeId>) -> Self {
-        Self { values, roots }
+    /// A report over `ir` with no values computed yet.
+    pub(crate) fn empty(ir: &CaseIr) -> Self {
+        let roots = ir.roots().iter().map(|&r| NodeId::from_index(r as usize)).collect();
+        Self { values: vec![None; ir.len()], roots }
     }
 
     /// The confidence attributed to a node, if it participates in the
@@ -115,102 +117,80 @@ impl ConfidenceReport {
     }
 }
 
-/// Combines children doubts under a rule, returning (independent,
-/// worst-case, best-case) *doubt*.
-fn combine_doubts(rule: Combination, doubts: &[f64]) -> (f64, f64, f64) {
-    match rule {
-        Combination::AllOf => {
-            let ind = 1.0 - doubts.iter().map(|x| 1.0 - x).product::<f64>();
-            let worst = doubts.iter().sum::<f64>().min(1.0);
-            let best = doubts.iter().copied().fold(0.0, f64::max);
-            (ind, worst, best)
-        }
-        Combination::AnyOf => {
-            let k = doubts.len() as f64;
-            let ind = doubts.iter().product::<f64>();
-            let worst = doubts.iter().copied().fold(f64::INFINITY, f64::min);
-            let best = (doubts.iter().sum::<f64>() - (k - 1.0)).max(0.0);
-            (ind, worst, best)
-        }
-    }
-}
-
-/// Combines a node's partitioned child confidences: support under
-/// `rule`, assumptions conjoined on top. This is the single evaluation
-/// kernel — full propagation, incremental recomputation and importance
-/// analysis all produce their floats here, which is what makes their
-/// answers bit-identical.
-pub(crate) fn combine_node(
-    rule: Combination,
-    support_doubts: &[NodeConfidence],
-    assumption_doubts: &[NodeConfidence],
-) -> NodeConfidence {
-    let (mut ind, mut worst, mut best) = if support_doubts.is_empty() {
-        // Only assumptions below (validate() prevents fully
-        // undeveloped nodes reaching here via roots, but a
-        // strategy may legitimately rest on assumptions alone).
-        (0.0, 0.0, 0.0)
-    } else {
-        let ind_doubts: Vec<f64> = support_doubts.iter().map(|c| 1.0 - c.independent).collect();
-        let worst_doubts: Vec<f64> = support_doubts.iter().map(|c| 1.0 - c.worst_case).collect();
-        let best_doubts: Vec<f64> = support_doubts.iter().map(|c| 1.0 - c.best_case).collect();
-        let (i, _, _) = combine_doubts(rule, &ind_doubts);
-        let (_, w, _) = combine_doubts(rule, &worst_doubts);
-        let (_, _, b) = combine_doubts(rule, &best_doubts);
-        (i, w, b)
-    };
-    // Conjoin assumptions.
-    if !assumption_doubts.is_empty() {
-        let mut ind_d: Vec<f64> = vec![ind];
-        let mut worst_d: Vec<f64> = vec![worst];
-        let mut best_d: Vec<f64> = vec![best];
-        for a in assumption_doubts {
-            ind_d.push(1.0 - a.independent);
-            worst_d.push(1.0 - a.worst_case);
-            best_d.push(1.0 - a.best_case);
-        }
-        let (i, _, _) = combine_doubts(Combination::AllOf, &ind_d);
-        let (_, w, _) = combine_doubts(Combination::AllOf, &worst_d);
-        let (_, _, b) = combine_doubts(Combination::AllOf, &best_d);
-        ind = i;
-        worst = w;
-        best = b;
-    }
-    NodeConfidence { independent: 1.0 - ind, worst_case: 1.0 - worst, best_case: 1.0 - best }
-}
-
-/// Evaluates one IR node from its children's already-computed values.
+/// The one evaluation kernel: node `i`'s confidence from its children's
+/// values, streamed off the IR's CSR row with no allocation. Full
+/// propagation, the incremental spine and the importance sweep all make
+/// their floats here, so their answers are bit-identical.
+///
+/// With doubt `x = 1 − confidence`, the support (non-assumption
+/// children) folds under the node's rule in child order: AllOf takes
+/// `1 − Π(1 − xᵢ)`, `min(1, Σxᵢ)` and `max(xᵢ)` from 0; AnyOf takes
+/// `Πxᵢ`, `min(xᵢ)` from +∞ and `max(0, Σxᵢ − (k − 1))`. Products start
+/// at 1 and sums at −0.0, as `Iterator::product`/`sum` do. Assumptions
+/// then conjoin (AllOf) over `[support doubt, assumption doubts…]`. The
+/// three folds never read each other, so running them side by side in
+/// one pass keeps each fold's operation sequence, and so every bit.
 ///
 /// # Panics
 ///
 /// Panics when a child of `i` has no value in `values` — callers must
 /// evaluate in topological order.
-pub(crate) fn eval_ir_node(
+pub(crate) fn eval_node(
     ir: &CaseIr,
     i: usize,
     values: &[Option<NodeConfidence>],
 ) -> NodeConfidence {
-    match ir.kind(i) {
-        IrKind::Evidence(c) | IrKind::Assumption(c) => NodeConfidence::from_point(c),
-        IrKind::Context => NodeConfidence::certain(),
-        IrKind::Goal | IrKind::Strategy(_) => {
-            let rule = match ir.kind(i) {
-                IrKind::Strategy(c) => c,
-                _ => Combination::AllOf,
-            };
-            // Partition supporters: assumptions always conjoin; the rest
-            // combine under the node's rule.
-            let mut support_doubts = Vec::new();
-            let mut assumption_doubts = Vec::new();
-            for &c in ir.children(i) {
-                let conf = values[c as usize].expect("children evaluated before parents");
-                if matches!(ir.kind(c as usize), IrKind::Assumption(_)) {
-                    assumption_doubts.push(conf);
-                } else {
-                    support_doubts.push(conf);
-                }
-            }
-            combine_node(rule, &support_doubts, &assumption_doubts)
+    let rule = match ir.kind(i) {
+        IrKind::Evidence(c) | IrKind::Assumption(c) => return NodeConfidence::from_point(c),
+        IrKind::Context => return NodeConfidence::certain(),
+        IrKind::Goal => Combination::AllOf,
+        IrKind::Strategy(rule) => rule,
+    };
+    let any_of = rule == Combination::AnyOf;
+    let assumption = |c: &&u32| matches!(ir.kind(**c as usize), IrKind::Assumption(_));
+    let value = |c: &u32| values[*c as usize].expect("children evaluated before parents");
+    let (mut k, mut ind) = (0u32, 1.0);
+    let (mut worst, mut best) = if any_of { (f64::INFINITY, -0.0) } else { (-0.0, 0.0) };
+    for v in ir.children(i).iter().filter(|c| !assumption(c)).map(value) {
+        k += 1;
+        if any_of {
+            ind *= 1.0 - v.independent;
+            worst = f64::min(worst, 1.0 - v.worst_case);
+            best += 1.0 - v.best_case;
+        } else {
+            ind *= 1.0 - (1.0 - v.independent);
+            worst += 1.0 - v.worst_case;
+            best = f64::max(best, 1.0 - v.best_case);
+        }
+    }
+    (ind, worst, best) = match rule {
+        // Only assumptions below: vacuous support.
+        _ if k == 0 => (0.0, 0.0, 0.0),
+        Combination::AllOf => (1.0 - ind, worst.min(1.0), best),
+        Combination::AnyOf => (ind, worst, (best - (f64::from(k) - 1.0)).max(0.0)),
+    };
+    let mut conjoin = None;
+    for v in ir.children(i).iter().filter(assumption).map(value) {
+        let (p, s, m) =
+            conjoin.get_or_insert((1.0 * (1.0 - ind), -0.0 + worst, f64::max(0.0, best)));
+        *p *= 1.0 - (1.0 - v.independent);
+        *s += 1.0 - v.worst_case;
+        *m = f64::max(*m, 1.0 - v.best_case);
+    }
+    if let Some((p, s, m)) = conjoin {
+        (ind, worst, best) = (1.0 - p, s.min(1.0), m);
+    }
+    NodeConfidence { independent: 1.0 - ind, worst_case: 1.0 - worst, best_case: 1.0 - best }
+}
+
+/// Re-evaluates `nodes` in place, in the order given (children before
+/// parents). Context nodes keep no value. Full propagation passes the
+/// whole topological order; the importance sweep passes one spine.
+pub(crate) fn recompute(ir: &CaseIr, nodes: &[u32], values: &mut [Option<NodeConfidence>]) {
+    for &n in nodes {
+        let n = n as usize;
+        if !matches!(ir.kind(n), IrKind::Context) {
+            values[n] = Some(eval_node(ir, n, values));
         }
     }
 }
@@ -225,21 +205,9 @@ pub(crate) fn eval_ir_node(
 pub fn propagate(case: &Case) -> Result<ConfidenceReport> {
     case.validate()?;
     let ir = CaseIr::build(case)?;
-    Ok(propagate_ir(&ir))
-}
-
-/// One linear pass over the IR's topological order.
-pub(crate) fn propagate_ir(ir: &CaseIr) -> ConfidenceReport {
-    let mut values: Vec<Option<NodeConfidence>> = vec![None; ir.len()];
-    for &t in ir.topo() {
-        let i = t as usize;
-        if matches!(ir.kind(i), IrKind::Context) {
-            continue;
-        }
-        values[i] = Some(eval_ir_node(ir, i, &values));
-    }
-    let roots = ir.roots().iter().map(|&r| NodeId::from_index(r as usize)).collect();
-    ConfidenceReport::from_parts(values, roots)
+    let mut report = ConfidenceReport::empty(&ir);
+    recompute(&ir, ir.topo(), &mut report.values);
+    Ok(report)
 }
 
 #[cfg(test)]

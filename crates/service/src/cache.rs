@@ -10,12 +10,11 @@
 //! unchanged case still hits, while any edit to structure or confidence
 //! misses and recompiles.
 //!
-//! Entries are plan-*plus-memo*: alongside the flat plan and report,
-//! each entry carries the live [`Incremental`] session whose
-//! subtree-hash memo makes the `edit` op O(depth). An edit clones the
-//! session, applies the mutation, and inserts the result under the new
-//! content hash — the pre-edit entry stays cached, so an undo (editing
-//! back) is a pure cache hit.
+//! Each entry is a live [`Incremental`] session: its report serves
+//! `eval` and `bands`, its plan serves `mc`, and its subtree-hash memo
+//! makes the `edit` op O(depth). An edit [takes](PlanCache::take) the
+//! session out, applies the mutation, and inserts the result under the
+//! new content hash.
 //!
 //! Internals: a hash map from content hash to entry, with recency
 //! tracked by an intrusive doubly-linked list threaded *through* the
@@ -26,22 +25,9 @@
 //! eviction (`Vec::remove(0)`), which turned churn-heavy workloads
 //! quadratic once capacities grew past a handful of cases.
 
-use depcase::assurance::{ConfidenceReport, EvalPlan, Incremental};
+use depcase::assurance::Incremental;
 use std::collections::HashMap;
 use std::sync::Arc;
-
-/// Everything derivable from a case that requests reuse.
-#[derive(Debug)]
-pub struct CompiledCase {
-    /// The flat evaluation plan, shared by `mc` runs.
-    pub plan: EvalPlan,
-    /// The analytic propagation report, shared by `eval` and `bands`.
-    pub report: ConfidenceReport,
-    /// The incremental session (IR + subtree-hash memo) `edit` clones
-    /// and mutates; its plan/report agree bit-for-bit with the fields
-    /// above.
-    pub session: Incremental,
-}
 
 /// Counter snapshot for observability.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -59,12 +45,12 @@ pub struct CacheCounters {
 /// `None` marks the ends.
 #[derive(Debug)]
 struct Node {
-    compiled: Arc<CompiledCase>,
+    compiled: Arc<Incremental>,
     prev: Option<u64>,
     next: Option<u64>,
 }
 
-/// A least-recently-used map from content hash to [`CompiledCase`] with
+/// A least-recently-used map from content hash to [`Incremental`] session, with
 /// O(1) lookup, insertion, and eviction.
 #[derive(Debug)]
 pub struct PlanCache {
@@ -93,7 +79,7 @@ impl PlanCache {
     }
 
     /// Looks a compiled case up, refreshing its recency on hit.
-    pub fn get(&mut self, hash: u64) -> Option<Arc<CompiledCase>> {
+    pub fn get(&mut self, hash: u64) -> Option<Arc<Incremental>> {
         if !self.entries.contains_key(&hash) {
             self.counters.misses += 1;
             return None;
@@ -104,10 +90,18 @@ impl PlanCache {
         Some(Arc::clone(&self.entries[&hash].compiled))
     }
 
+    /// Removes a compiled case for its owner to mutate, counting the
+    /// lookup like [`PlanCache::get`].
+    pub fn take(&mut self, hash: u64) -> Option<Arc<Incremental>> {
+        self.get(hash)?;
+        self.unlink(hash);
+        self.entries.remove(&hash).map(|node| node.compiled)
+    }
+
     /// Inserts a freshly compiled case, evicting the least recently used
     /// entry if the cache is full. Re-inserting an existing hash just
     /// refreshes the entry.
-    pub fn insert(&mut self, hash: u64, compiled: Arc<CompiledCase>) {
+    pub fn insert(&mut self, hash: u64, compiled: Arc<Incremental>) {
         if let Some(node) = self.entries.get_mut(&hash) {
             node.compiled = compiled;
             self.unlink(hash);
@@ -187,15 +181,12 @@ mod tests {
     use super::*;
     use depcase::prelude::*;
 
-    fn compiled(confidence: f64) -> Arc<CompiledCase> {
+    fn compiled(confidence: f64) -> Arc<Incremental> {
         let mut case = Case::new("t");
         let g = case.add_goal("G", "claim").unwrap();
         let e = case.add_evidence("E", "evidence", confidence).unwrap();
         case.support(g, e).unwrap();
-        let session = Incremental::new(case).unwrap();
-        let plan = session.plan().clone();
-        let report = session.report();
-        Arc::new(CompiledCase { plan, report, session })
+        Arc::new(Incremental::new(case).unwrap())
     }
 
     #[test]

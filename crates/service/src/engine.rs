@@ -27,12 +27,13 @@
 //! stores exact `f64` results keyed by exact content, never
 //! approximations).
 //!
-//! The registry keeps **every** version of every named case reachable:
-//! each mutation appends a [`VersionRecord`] to the name's history and
-//! parks the resulting case in a content-addressed object map, so
+//! The registry ([`crate::registry`]) keeps **every** version of every
+//! named case reachable: each mutation appends a [`VersionRecord`] to
+//! the name's history and stores the version in a content-addressed
+//! object map — a `load` in full, an `edit` as a delta on its base — so
 //! `history` is a map lookup and time-travel `eval` (by `version` or
-//! `at_hash`) is O(1) to resolve plus at most one compile — repeated
-//! historical evals are pure plan-cache hits.
+//! `at_hash`) resolves in two lookups plus, on a plan-cache miss, one
+//! compile of the chain's keyframe and at most 15 replayed edits.
 //!
 //! With [`Engine::open`], every acked mutation is written ahead to a
 //! WAL before the response is released, periodic content-addressed
@@ -46,10 +47,13 @@
 //! are bit-identical to in-process evaluation (the integration tests
 //! assert this via `f64::to_bits`).
 
-use crate::cache::{CacheCounters, CompiledCase, PlanCache};
+use crate::cache::{CacheCounters, PlanCache};
 use crate::lock_unpoisoned;
 use crate::protocol::{
-    format_hash, BatchItem, EditAction, ErrorCode, EvalAt, Request, Response, WireError,
+    format_hash, lib_error, BatchItem, EditAction, ErrorCode, EvalAt, Request, Response, WireError,
+};
+use crate::registry::{
+    apply_action, open_plain, shard_of, write_documents, CaseEntry, NamedCase, PackedCase, Registry,
 };
 use crate::snapshot::{Manifest, ManifestCase, Store, VersionRecord};
 use crate::stats::{CompileCounters, RobustnessCounters, RobustnessEvent, ServiceStats};
@@ -57,8 +61,8 @@ use crate::storage_io::{RealIo, StorageIo};
 use crate::telemetry::{self, MetricsRegistry, Telemetry, TlsTracer};
 use crate::wal::{FsyncPolicy, OpRef, RecordRef, Wal, WalOp, WalRecord};
 use depcase::assurance::{
-    importance, Case, ConfidenceReport, EditStats, EvalPlan, Incremental, MemoStore,
-    MemoStoreStats, MonteCarlo, NodeId, NodeKind, SharedMemo,
+    importance, Case, ConfidenceReport, EvalPlan, Incremental, MemoStoreStats, MonteCarlo,
+    NodeKind, SharedMemo,
 };
 use depcase::distributions::TwoPoint;
 use depcase::sil::{SilAssessment, SilLevel};
@@ -96,107 +100,6 @@ fn now_ms() -> u64 {
     std::time::SystemTime::now()
         .duration_since(std::time::UNIX_EPOCH)
         .map_or(0, |d| u64::try_from(d.as_millis()).unwrap_or(u64::MAX))
-}
-
-/// A registry-parked case object in its compact cold form: the
-/// canonical serialized document plus the title the response headers
-/// need. The registry keeps tens of thousands of tenants resident, but
-/// the hot path reads cases out of the plan cache (whose sessions own
-/// their graphs) — the registry copy exists for recompiles after cache
-/// eviction, time-travel reads, snapshots, and scrub repair, all of
-/// which tolerate a parse. Storing the document instead of the parsed
-/// graph cuts resident bytes per tenant several-fold, and rehydration
-/// is the exact round-trip the snapshot store already performs, so it
-/// is bit-identical by the same argument the crash matrix proves.
-#[derive(Debug, Clone)]
-struct PackedCase {
-    /// Canonical serialized case document (the snapshot object form).
-    doc: Arc<str>,
-    /// Case title, kept unpacked for response headers.
-    title: Arc<str>,
-}
-
-impl PackedCase {
-    /// Packs a live case into its canonical serialized form.
-    fn pack(case: &Case) -> PackedCase {
-        let doc = serde_json::to_string(case).expect("a live case always serializes");
-        PackedCase { doc: doc.into(), title: case.title().into() }
-    }
-
-    /// Rehydrates the full case graph.
-    fn unpack(&self) -> Result<Case, String> {
-        let doc = serde_json::value_from_str(&self.doc)
-            .map_err(|e| format!("packed case document failed to parse: {e}"))?;
-        Case::from_value(&doc).map_err(|e| format!("packed case document failed to rebuild: {e}"))
-    }
-
-    /// [`PackedCase::unpack`] with the failure mapped to a wire error.
-    /// The engine packed these bytes itself, so a failure here is an
-    /// internal invariant break, not bad client input.
-    fn unpack_wire(&self) -> Result<Case, WireError> {
-        self.unpack().map_err(|e| WireError::new(ErrorCode::InternalError, e))
-    }
-}
-
-/// A registered case at one version: the packed graph plus registry
-/// metadata.
-#[derive(Debug, Clone)]
-struct CaseEntry {
-    case: PackedCase,
-    /// 1-based, bumped by every `load`/`edit` under this name.
-    version: u64,
-    /// Content hash of this version (plan-cache and object-store key).
-    hash: u64,
-}
-
-/// A registry name: its current version plus the full version history.
-#[derive(Debug)]
-struct NamedCase {
-    current: CaseEntry,
-    /// Every version ever recorded, oldest first (the last record
-    /// mirrors `current`).
-    history: Vec<VersionRecord>,
-}
-
-#[derive(Debug, Default)]
-struct Registry {
-    cases: HashMap<String, NamedCase>,
-    /// Every case version ever committed, packed, keyed by content
-    /// hash — identical content is stored once no matter how many
-    /// names or versions reference it.
-    objects: HashMap<u64, PackedCase>,
-}
-
-impl Registry {
-    /// Commits one mutation: parks the packed object, replaces the
-    /// name's current entry, and appends to its history.
-    fn commit(&mut self, name: &str, case: PackedCase, record: VersionRecord) {
-        self.objects.entry(record.hash).or_insert_with(|| case.clone());
-        let entry = CaseEntry { case, version: record.version, hash: record.hash };
-        match self.cases.get_mut(name) {
-            Some(named) => {
-                named.current = entry;
-                named.history.push(record);
-            }
-            None => {
-                self.cases
-                    .insert(name.to_string(), NamedCase { current: entry, history: vec![record] });
-            }
-        }
-    }
-}
-
-/// FNV-1a over a case name: the shard router. Deliberately *not*
-/// persisted — recovery re-routes every name by hashing it again, so
-/// the shard map is a pure function of the name and the shard count,
-/// and restarting with a different `--shards` is always safe.
-fn shard_of(name: &str, shards: usize) -> usize {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for byte in name.as_bytes() {
-        h ^= u64::from(*byte);
-        h = h.wrapping_mul(0x100_0000_01B3);
-    }
-    usize::try_from(h % shards as u64).expect("shard index fits usize")
 }
 
 /// Default shard count for registry and plan-cache state.
@@ -437,11 +340,15 @@ impl Engine {
         &self.caches[usize::try_from(hash % n).expect("shard index fits usize")]
     }
 
-    /// Searches every registry shard for a parked object copy
-    /// (scrub-time repair source) — shard locks are taken one at a
-    /// time, never together.
-    fn parked_object(&self, hash: u64) -> Option<PackedCase> {
-        self.registries.iter().find_map(|shard| lock_unpoisoned(shard).objects.get(&hash).cloned())
+    /// Rewrites one object from the registry's stored version (the
+    /// repair source), searching every shard — shard locks are taken one
+    /// at a time, never together, and none is held while writing.
+    fn repair_object(&self, store: &Store, hash: u64) -> bool {
+        let find = |shard: &Mutex<Registry>| lock_unpoisoned(shard).objects.get(&hash).cloned();
+        self.registries.iter().find_map(find).is_some_and(|version| {
+            write_documents(vec![(hash, version)], |h, doc| store.rewrite_object_text(h, doc))
+                .is_ok()
+        })
     }
 
     /// Aggregated cache counters plus total entries/capacity, collected
@@ -620,19 +527,14 @@ impl Engine {
 
     /// Post-replay fixpoint: any quarantined object the WAL replay has
     /// re-parked in the registry is rewritten to the store from that
-    /// in-memory copy's packed bytes (counted `repaired_from_wal`), and
+    /// in-memory copy's document (counted `repaired_from_wal`), and
     /// a poisoned name whose registry state is unreconstructable is
     /// dropped from serving entirely so `data_corrupted` is the only
     /// answer it gives.
     fn heal_after_replay(&self, store: &Store, poisoned: HashSet<String>) {
         let quarantined: Vec<u64> = lock_unpoisoned(&self.corrupt).hashes.iter().copied().collect();
-        let healed: Vec<u64> = quarantined
-            .into_iter()
-            .filter(|hash| {
-                self.parked_object(*hash)
-                    .is_some_and(|packed| store.rewrite_object_text(*hash, &packed.doc).is_ok())
-            })
-            .collect();
+        let healed: Vec<u64> =
+            quarantined.into_iter().filter(|hash| self.repair_object(store, *hash)).collect();
         let mut corrupt = lock_unpoisoned(&self.corrupt);
         let mut stats = lock_unpoisoned(&self.stats);
         for hash in healed {
@@ -738,9 +640,11 @@ impl Engine {
     /// hash then double-checks that replay reproduced the same case.
     fn replay_record(&self, record: &WalRecord) -> Result<(), String> {
         let seq = record.seq;
-        let case = match &record.op {
+        let (packed, hash) = match &record.op {
             WalOp::Load { doc } => {
-                Case::from_value(doc).map_err(|e| format!("replaying load #{seq}: {e}"))?
+                let case =
+                    Case::from_value(doc).map_err(|e| format!("replaying load #{seq}: {e}"))?;
+                (PackedCase::pack(&case), case.content_hash())
             }
             WalOp::Edit { base_hash, action } => {
                 // The base committed under the same name, so it parked
@@ -754,30 +658,24 @@ impl Engine {
                             "replaying edit #{seq}: base object {} is missing",
                             format_hash(*base_hash)
                         )
-                    })?
-                    .unpack()
-                    .map_err(|e| format!("replaying edit #{seq}: {e}"))?;
-                let mut session =
-                    Incremental::new(base).map_err(|e| format!("replaying edit #{seq}: {e}"))?;
-                apply_action(&mut session, action)
+                    })?;
+                let session = base
+                    .materialize(&mut open_plain)
+                    .and_then(|mut session| apply_action(&mut session, action).map(|_| session))
                     .map_err(|e| format!("replaying edit #{seq}: {}", e.message))?;
-                session.case().clone()
+                (base.edited(action, session.case()), session.case_hash())
             }
         };
-        if case.content_hash() != record.hash {
+        if hash != record.hash {
             return Err(format!(
                 "replaying record #{seq} produced hash {} but the log says {}",
-                format_hash(case.content_hash()),
+                format_hash(hash),
                 format_hash(record.hash)
             ));
         }
         let timestamps =
             VersionRecord { version: record.version, hash: record.hash, ts_ms: record.ts_ms };
-        lock_unpoisoned(self.registry(&record.name)).commit(
-            &record.name,
-            PackedCase::pack(&case),
-            timestamps,
-        );
+        lock_unpoisoned(self.registry(&record.name)).commit(&record.name, packed, timestamps);
         Ok(())
     }
 
@@ -1164,30 +1062,24 @@ impl Engine {
         // change between these reads. Objects committed under several
         // names may park in several shards; the seen-set dedups them.
         let mut cases: Vec<ManifestCase> = Vec::new();
-        let mut missing: Vec<(u64, Arc<str>)> = Vec::new();
+        let mut missing: Vec<(u64, PackedCase)> = Vec::new();
         let mut seen: HashSet<u64> = HashSet::new();
         for shard in &self.registries {
             let registry = lock_unpoisoned(shard);
-            cases.extend(registry.cases.iter().map(|(name, named)| ManifestCase {
-                name: name.clone(),
-                history: named.history.clone(),
-            }));
-            missing.extend(
-                registry
-                    .objects
-                    .iter()
-                    .filter(|(hash, _)| seen.insert(**hash) && !d.store.has_object(**hash))
-                    .map(|(hash, packed)| (*hash, Arc::clone(&packed.doc))),
-            );
+            for (name, named) in &registry.cases {
+                // History order is chain order: the writes carry it.
+                missing.extend(named.history.iter().filter_map(|r| {
+                    let new = seen.insert(r.hash) && !d.store.has_object(r.hash);
+                    new.then(|| Some((r.hash, registry.objects.get(&r.hash)?.clone()))).flatten()
+                }));
+                cases.push(ManifestCase { name: name.clone(), history: named.history.clone() });
+            }
         }
         cases.sort_by(|a, b| a.name.cmp(&b.name));
         let manifest = Manifest { seq: d.next_seq - 1, cases };
         // Object writes run outside every shard lock; only
-        // already-committed (immutable) objects are touched, and their
-        // packed bytes are already the canonical object text.
-        for (hash, doc) in missing {
-            d.store.write_object_text(hash, &doc)?;
-        }
+        // already-committed (immutable) versions are touched.
+        write_documents(missing, |hash, doc| d.store.write_object_text(hash, doc).map(drop))?;
         d.store.write_manifest(&manifest)?;
         d.wal.truncate()?;
         d.since_snapshot = 0;
@@ -1199,12 +1091,11 @@ impl Engine {
         let case = Case::from_value(doc).map_err(|e| WireError::new(ErrorCode::BadCase, e))?;
         // Reject unevaluable cases at the door rather than on first use;
         // compiling also warms the plan cache for the expected follow-up.
-        let compiled = self.compile_case(&case)?;
-        let hash = case.content_hash();
-        let nodes = case.iter().count();
-        lock_unpoisoned(self.cache(hash)).insert(hash, Arc::new(compiled));
-        let version =
-            self.commit_mutation(name, PackedCase::pack(&case), hash, OpRef::Load { doc })?;
+        let session = telemetry::with_span("plan_compile", || self.open_session(case))?;
+        let (hash, nodes) = (session.case_hash(), session.case().len());
+        let packed = PackedCase::pack(session.case());
+        lock_unpoisoned(self.cache(hash)).insert(hash, Arc::new(session));
+        let version = self.commit_mutation(name, packed, hash, OpRef::Load { doc })?;
         Ok(Value::Object(vec![
             ("name".to_string(), Value::Str(name.to_string())),
             ("version".to_string(), Value::U64(version)),
@@ -1219,7 +1110,7 @@ impl Engine {
 
     /// Resolves a name to a case version: the current one, or — for
     /// time-travel reads — the history entry named by `version` /
-    /// `at_hash`. Every historical hash has its object parked in the
+    /// `at_hash`. Every historical hash has its version stored in the
     /// registry, so resolution is two map lookups.
     fn lookup_at(&self, name: &str, at: Option<&EvalAt>) -> Result<CaseEntry, WireError> {
         self.check_not_quarantined(name)?;
@@ -1286,34 +1177,34 @@ impl Engine {
     /// the lock on a miss. Two workers racing on the same cold case may
     /// both compile; the cache keeps whichever inserts last — identical
     /// content, so correctness is unaffected.
-    fn compiled(&self, entry: &CaseEntry) -> Result<Arc<CompiledCase>, WireError> {
+    fn compiled(&self, entry: &CaseEntry) -> Result<Arc<Incremental>, WireError> {
         if let Some(hit) = lock_unpoisoned(self.cache(entry.hash)).get(entry.hash) {
             return Ok(hit);
         }
-        let compiled = Arc::new(self.compile_case(&entry.case.unpack_wire()?)?);
+        let compiled = Arc::new(self.compile_entry(entry)?);
         lock_unpoisoned(self.cache(entry.hash)).insert(entry.hash, Arc::clone(&compiled));
         Ok(compiled)
     }
 
-    /// Compiles one case into its plan/report/session artefacts,
-    /// memoising subtree results through the global store when one is
-    /// enabled — bit-identical to a private-memo compile either way —
-    /// and recording the recompute/reuse split in the compile counters.
-    fn compile_case(&self, case: &Case) -> Result<CompiledCase, WireError> {
+    /// Rebuilds an entry's stored version: keyframe, then its deltas.
+    fn compile_entry(&self, entry: &CaseEntry) -> Result<Incremental, WireError> {
         telemetry::with_span("plan_compile", || {
-            let session = match &self.memo {
-                Some(store) => Incremental::with_memo_traced(
-                    case.clone(),
-                    Arc::clone(store) as Arc<dyn MemoStore>,
-                    &TlsTracer,
-                ),
-                None => Incremental::new_traced(case.clone(), &TlsTracer),
-            }
-            .map_err(|e| WireError::from(depcase::Error::from(e)))?;
-            let totals = session.totals();
-            lock_unpoisoned(&self.stats).note_compile(totals.nodes_recomputed, totals.nodes_reused);
-            Ok(CompiledCase { plan: session.plan().clone(), report: session.report(), session })
+            entry.case.materialize(&mut |case| self.open_session(case))
         })
+    }
+
+    /// Opens one case's session, memoising subtrees through the global
+    /// store when enabled (bit-identical to a private memo either way)
+    /// and recording the recompute/reuse split in the compile counters.
+    fn open_session(&self, case: Case) -> Result<Incremental, WireError> {
+        let session = match &self.memo {
+            Some(store) => Incremental::with_memo_traced(case, store.clone(), &TlsTracer),
+            None => Incremental::new_traced(case, &TlsTracer),
+        }
+        .map_err(lib_error)?;
+        let totals = session.totals();
+        lock_unpoisoned(&self.stats).note_compile(totals.nodes_recomputed, totals.nodes_reused);
+        Ok(session)
     }
 
     fn eval(
@@ -1325,7 +1216,7 @@ impl Engine {
         let entry = self.lookup_at(name, at)?;
         let compiled = self.compiled(&entry)?;
         check_deadline(deadline)?;
-        Ok(eval_value(&entry, compiled.session.case(), &compiled.report))
+        Ok(eval_value(&entry, compiled.case(), compiled.as_report()))
     }
 
     /// Dispatches a `batch` request: every item is answered in wire
@@ -1451,23 +1342,27 @@ impl Engine {
             }
             return;
         }
-        // Cache hits answer from the memoised report; misses unpack
-        // their registry copy and queue for the wide kernel.
+        // Cache hits answer from the memoised report; keyframe misses
+        // unpack their registry copy and queue for the wide kernel.
         let mut cold: Vec<(CaseEntry, Case, Vec<usize>, EvalPlan)> = Vec::new();
         for (entry, idxs) in wanted {
-            if let Some(hit) = lock_unpoisoned(self.cache(entry.hash)).get(entry.hash) {
-                let value = eval_value(&entry, hit.session.case(), &hit.report);
+            let hit = lock_unpoisoned(self.cache(entry.hash)).get(entry.hash);
+            if let Some(hit) = hit {
+                let value = eval_value(&entry, hit.case(), hit.as_report());
                 fill(answers, &idxs, Response::Ok(value));
-            } else {
-                let unpacked = entry.case.unpack_wire().and_then(|case| {
-                    EvalPlan::compile(&case)
-                        .map(|plan| (case, plan))
-                        .map_err(|e| WireError::from(depcase::Error::from(e)))
+            } else if let Some(unpacked) = entry.case.unpack() {
+                let unpacked = unpacked.and_then(|case| {
+                    EvalPlan::compile(&case).map(|plan| (case, plan)).map_err(lib_error)
                 });
                 match unpacked {
                     Ok((case, plan)) => cold.push((entry, case, idxs, plan)),
                     Err(err) => fill(answers, &idxs, Response::Err(err)),
                 }
+            } else {
+                // A delta is rebuilt as a session: it answers from that.
+                let session = entry.case.materialize(&mut open_plain);
+                let response = session.map(|s| eval_value(&entry, s.case(), s.as_report()));
+                fill(answers, &idxs, response.into());
             }
         }
         // Group the cold plans by shape (quadratic over at most
@@ -1490,10 +1385,8 @@ impl Engine {
                 // A lone shape gains nothing from the batch kernel; the
                 // ordinary path also warms the plan cache for follow-ups.
                 let (entry, _, idxs, _) = &cold[only];
-                let response = self
-                    .compiled(entry)
-                    .map(|c| eval_value(entry, c.session.case(), &c.report))
-                    .into();
+                let response =
+                    self.compiled(entry).map(|c| eval_value(entry, c.case(), c.as_report())).into();
                 fill(answers, idxs, response);
                 continue;
             }
@@ -1506,7 +1399,7 @@ impl Engine {
                     }
                 }
                 Err(e) => {
-                    let err = WireError::from(depcase::Error::from(e));
+                    let err = lib_error(e);
                     for &p in &group {
                         fill(answers, &cold[p].2, Response::Err(err.clone()));
                     }
@@ -1544,15 +1437,13 @@ impl Engine {
         ]))
     }
 
-    /// Applies one mutation to a loaded case through the cached
-    /// incremental session: only the edited node's ancestor spine runs
-    /// the combination kernel, everything else is answered from the
-    /// subtree-hash memo. The edited case replaces the registry entry
-    /// under a bumped version, and the new plan-plus-memo artefacts join
-    /// the cache under the new content hash — the pre-edit entry stays
-    /// cached *and* in the version history, so editing back to a
-    /// previous state is a pure cache hit and every prior state stays
-    /// evaluable.
+    /// Applies one mutation through the case's cached incremental
+    /// session, which leaves the plan cache for the edit (cloned only
+    /// when a reader holds it) and rejoins it under the new content
+    /// hash; a rejected action puts it back untouched. With the version
+    /// stored as a delta, an edit costs its dirty spine, a WAL append and
+    /// a delta. Prior states stay evaluable, but are no longer cached:
+    /// editing back to one recompiles unless a read re-cached it.
     fn edit(
         &self,
         name: &str,
@@ -1560,25 +1451,22 @@ impl Engine {
         deadline: Option<Instant>,
     ) -> Result<Value, WireError> {
         let entry = self.lookup(name)?;
-        let compiled = self.compiled(&entry)?;
-        check_deadline(deadline)?;
-        let mut session = compiled.session.clone();
-        let delta = apply_action(&mut session, action)?;
-        let hash = session.case_hash();
-        let nodes = session.case().len();
-        let packed = PackedCase::pack(session.case());
-        let compiled = Arc::new(CompiledCase {
-            plan: session.plan().clone(),
-            report: session.report(),
-            session,
-        });
-        lock_unpoisoned(self.cache(hash)).insert(hash, Arc::clone(&compiled));
-        let version = self.commit_mutation(
-            name,
-            packed,
-            hash,
-            OpRef::Edit { base_hash: entry.hash, action },
-        )?;
+        let taken = lock_unpoisoned(self.cache(entry.hash)).take(entry.hash);
+        let mut base =
+            taken.map_or_else(|| self.compile_entry(&entry), |c| Ok(Arc::unwrap_or_clone(c)))?;
+        let applied = check_deadline(deadline).and_then(|()| apply_action(&mut base, action));
+        let delta = match applied {
+            Ok(delta) => delta,
+            Err(e) => {
+                lock_unpoisoned(self.cache(entry.hash)).insert(entry.hash, Arc::new(base));
+                return Err(e);
+            }
+        };
+        let (hash, nodes, top) = (base.case_hash(), base.case().len(), base.as_report().top());
+        let packed = entry.case.edited(action, base.case());
+        lock_unpoisoned(self.cache(hash)).insert(hash, Arc::new(base));
+        let op = OpRef::Edit { base_hash: entry.hash, action };
+        let version = self.commit_mutation(name, packed, hash, op)?;
         lock_unpoisoned(&self.stats).note_edit(delta.nodes_recomputed, delta.nodes_reused);
         let mut fields = vec![
             ("name".to_string(), Value::Str(name.to_string())),
@@ -1586,7 +1474,7 @@ impl Engine {
             ("hash".to_string(), Value::Str(format_hash(hash))),
             ("nodes".to_string(), Value::U64(nodes as u64)),
         ];
-        if let Some(top) = compiled.report.top() {
+        if let Some(top) = top {
             fields.push(("root_confidence".to_string(), Value::F64(top.independent)));
         }
         fields.push(("nodes_recomputed".to_string(), Value::U64(delta.nodes_recomputed)));
@@ -1601,8 +1489,7 @@ impl Engine {
         // session's graph also saves unpacking the registry copy.
         let compiled = self.compiled(&entry)?;
         check_deadline(deadline)?;
-        let ranking = importance::birnbaum_importance(compiled.session.case())
-            .map_err(|e| WireError::from(depcase::Error::from(e)))?;
+        let ranking = importance::birnbaum_importance(compiled.case()).map_err(lib_error)?;
         let rows = ranking
             .into_iter()
             .map(|li| {
@@ -1689,25 +1576,24 @@ impl Engine {
     fn run_mc(
         &self,
         entry: &CaseEntry,
-        compiled: &CompiledCase,
+        compiled: &Incremental,
         samples: u32,
         seed: u64,
         threads: usize,
         deadline: Option<Instant>,
     ) -> Result<Value, WireError> {
         check_deadline(deadline)?;
-        let runner = MonteCarlo::new(samples).seed(seed).threads(threads);
+        let (runner, plan) =
+            (MonteCarlo::new(samples).seed(seed).threads(threads), compiled.plan());
         // With a deadline, the run polls it between sample chunks, so
         // `deadline_exceeded` arrives within one chunk of the budget
         // instead of after the full sampling time. A completed run is
         // bit-identical to the unpolled path.
         let report = match deadline {
-            None => runner
-                .run_plan_traced(&compiled.plan, &TlsTracer)
-                .map_err(|e| WireError::from(depcase::Error::from(e)))?,
+            None => runner.run_plan_traced(plan, &TlsTracer).map_err(lib_error)?,
             Some(d) => runner
-                .run_plan_until_traced(&compiled.plan, &move || Instant::now() >= d, &TlsTracer)
-                .map_err(|e| WireError::from(depcase::Error::from(e)))?
+                .run_plan_until_traced(plan, &move || Instant::now() >= d, &TlsTracer)
+                .map_err(lib_error)?
                 .ok_or_else(|| {
                     WireError::new(
                         ErrorCode::DeadlineExceeded,
@@ -1716,7 +1602,7 @@ impl Engine {
                 })?,
         };
         let mut estimates = Vec::new();
-        for (id, node) in compiled.session.case().iter() {
+        for (id, node) in compiled.case().iter() {
             if let Some(estimate) = report.estimate(id) {
                 estimates.push(Value::Object(vec![
                     ("name".to_string(), Value::Str(node.name.clone())),
@@ -1745,14 +1631,13 @@ impl Engine {
         let entry = self.lookup(name)?;
         let compiled = self.compiled(&entry)?;
         check_deadline(deadline)?;
-        let top = compiled.report.top().ok_or_else(|| {
+        let top = compiled.as_report().top().ok_or_else(|| {
             WireError::new(ErrorCode::Case, "case has no single root goal to band")
         })?;
         // The paper's construction: confidence c in "measure < bound"
         // is the two-point worst-case belief — mass c at the bound,
         // doubt 1 − c at failure — pushed through the band table.
-        let belief = TwoPoint::worst_case(pfd_bound, 1.0 - top.independent)
-            .map_err(|e| WireError::from(depcase::Error::from(e)))?;
+        let belief = TwoPoint::worst_case(pfd_bound, 1.0 - top.independent).map_err(lib_error)?;
         let assessment = SilAssessment::new(&belief, mode);
         let at_least = assessment.confidences();
         let probabilities = assessment.band_probabilities();
@@ -1822,14 +1707,11 @@ impl Engine {
             let Some(d) = durability.as_ref() else { break };
             let Err(reason) = verify_object(&d.store, hash) else { continue };
             corrupt_found += 1;
-            // The registry's parked copy was verified when it entered
-            // (load, edit, or checked restore): writing its packed bytes
+            // The registry's stored version was verified when it entered
+            // (load, edit, or checked restore): writing its document
             // back is a faithful repair. With no reachable copy the
             // damaged bytes leave the serving path for `quarantine/`.
-            let parked = self.parked_object(hash);
-            let rewritten =
-                parked.is_some_and(|packed| d.store.rewrite_object_text(hash, &packed.doc).is_ok());
-            if rewritten {
+            if self.repair_object(&d.store, hash) {
                 repaired += 1;
                 lock_unpoisoned(&self.corrupt).hashes.remove(&hash);
                 eprintln!(
@@ -1878,50 +1760,6 @@ fn verify_object(store: &Store, hash: u64) -> Result<Case, String> {
         return Err(format!("hashes to {}", format_hash(case.content_hash())));
     }
     Ok(case)
-}
-
-/// Applies one wire edit action to an incremental session. Shared by
-/// the live `edit` path and WAL replay, so a logged action re-executes
-/// through exactly the code that produced the acked response.
-fn apply_action(session: &mut Incremental, action: &EditAction) -> Result<EditStats, WireError> {
-    match action {
-        EditAction::SetConfidence { node, confidence } => {
-            let id = resolve(session.case(), node)?;
-            session
-                .set_confidence_traced(id, *confidence, &TlsTracer)
-                .map_err(|e| WireError::from(depcase::Error::from(e)))
-        }
-        EditAction::AddLeaf { parent, node, statement, kind, confidence } => {
-            let p = resolve(session.case(), parent)?;
-            session
-                .add_leaf_traced(
-                    p,
-                    node.clone(),
-                    statement.clone().unwrap_or_default(),
-                    kind.to_lib(),
-                    *confidence,
-                    &TlsTracer,
-                )
-                .map(|(_, delta)| delta)
-                .map_err(|e| WireError::from(depcase::Error::from(e)))
-        }
-        EditAction::Retarget { parent, from, to } => {
-            let p = resolve(session.case(), parent)?;
-            let f = resolve(session.case(), from)?;
-            let t = resolve(session.case(), to)?;
-            session
-                .retarget_traced(p, f, t, &TlsTracer)
-                .map_err(|e| WireError::from(depcase::Error::from(e)))
-        }
-    }
-}
-
-/// Resolves a wire node name against a case, answering the library's
-/// `case` error code for unknown names.
-fn resolve(case: &Case, name: &str) -> Result<NodeId, WireError> {
-    case.node_by_name(name).ok_or_else(|| {
-        WireError::new(ErrorCode::Case, format!("no node named `{name}` in the case"))
-    })
 }
 
 /// True for requests that commit a new case version (the batch
@@ -2742,21 +2580,6 @@ mod tests {
             .handle(&Request::Mc { name: "demo".into(), samples: 4_000, seed: 11, threads: 1 })
             .unwrap();
         assert_eq!(got, fresh);
-    }
-
-    #[test]
-    fn shard_routing_is_stable_and_in_range() {
-        for shards in [1usize, 2, 8, 31] {
-            for name in ["demo", "tenant-0/case", "", "a", "zzzz"] {
-                let s = shard_of(name, shards);
-                assert!(s < shards);
-                assert_eq!(s, shard_of(name, shards), "routing must be deterministic");
-            }
-        }
-        // FNV actually spreads names: 64 names over 8 shards must not
-        // all collapse into one.
-        let hit: HashSet<usize> = (0..64).map(|i| shard_of(&format!("case-{i}"), 8)).collect();
-        assert!(hit.len() > 1);
     }
 
     #[test]

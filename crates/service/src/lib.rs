@@ -67,6 +67,7 @@ pub mod engine;
 pub(crate) mod epoll;
 pub mod faults;
 pub mod protocol;
+pub(crate) mod registry;
 pub mod server;
 pub mod snapshot;
 pub mod stats;
@@ -75,7 +76,7 @@ pub mod telemetry;
 pub mod trace;
 pub mod wal;
 
-pub use cache::{CacheCounters, CompiledCase, PlanCache};
+pub use cache::{CacheCounters, PlanCache};
 pub use client::{code_is_retryable, Client, RetryPolicy, RetryingClient};
 pub use engine::{DurabilityConfig, Engine, EngineConfig, DEFAULT_MEMO_ENTRIES, DEFAULT_SHARDS};
 pub use faults::{FaultPlan, InjectedCounts};

@@ -248,6 +248,11 @@ impl From<depcase::Error> for WireError {
     }
 }
 
+/// A library error in its wire spelling.
+pub(crate) fn lib_error(e: impl Into<depcase::Error>) -> WireError {
+    WireError::from(e.into())
+}
+
 /// Leaf kind named on the wire by `edit`'s `add_leaf` action.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WireLeafKind {
