@@ -2,8 +2,9 @@
 
 use crate::error::{CaseError, Result};
 use serde::{Deserialize, Serialize, Value};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::fmt;
+use std::sync::OnceLock;
 
 /// Version stamped into serialized case files as the `"schema"` field.
 ///
@@ -83,18 +84,34 @@ pub struct Node {
 /// # Serialized form
 ///
 /// Cases serialize as a versioned JSON object: `{"schema": 1, "title":
-/// …, "nodes": […], "children": […]}`. The name index is rebuilt on
-/// load rather than stored, and legacy files that predate the
-/// `"schema"` field (which stored the index as `"by_name"`) are still
-/// accepted. Confidence values survive a save/load round trip
-/// bit-for-bit (the `float_roundtrip` JSON guarantee).
-#[derive(Debug, Clone, PartialEq)]
+/// …, "nodes": […], "children": […]}`. The name index is not stored:
+/// loading checks the names are unique, and the first lookup by name
+/// rebuilds it. Legacy files that predate the `"schema"` field (which
+/// stored the index as `"by_name"`) are still accepted. Confidence
+/// values survive a save/load round trip bit-for-bit (the
+/// `float_roundtrip` JSON guarantee).
+///
+/// The compact text of that object is the *packed case document*, the
+/// form a stored case version is kept in. [`Case::to_json`] writes it
+/// and [`Case::from_json`] reads it straight from and into the case's
+/// arrays, with no [`Value`] tree between: the same bytes as
+/// `serde_json::to_string(&case)` and the same cases, bit for bit, as
+/// [`Case::from_value`] of the parsed text, legacy form included.
+#[derive(Debug, Clone)]
 pub struct Case {
     title: String,
     nodes: Vec<Node>,
     /// children[i] = nodes supporting node i.
     children: Vec<Vec<usize>>,
-    by_name: HashMap<String, usize>,
+    /// Name → index, built by the first lookup by name: a decoded case
+    /// that is only evaluated never needs it.
+    by_name: OnceLock<HashMap<String, usize>>,
+}
+
+impl PartialEq for Case {
+    fn eq(&self, other: &Self) -> bool {
+        (&self.title, &self.nodes, &self.children) == (&other.title, &other.nodes, &other.children)
+    }
 }
 
 impl Serialize for Case {
@@ -112,18 +129,38 @@ impl Deserialize for Case {
     fn from_value(v: &Value) -> std::result::Result<Self, serde::Error> {
         let obj = v.as_object().ok_or_else(|| serde::Error::custom("expected object for Case"))?;
         if let Some(schema) = v.get("schema") {
-            let version = schema
-                .as_u64()
-                .ok_or_else(|| serde::Error::custom("case `schema` must be an integer"))?;
-            if version == 0 || version > CASE_SCHEMA_VERSION {
-                return Err(serde::Error::custom(format!(
-                    "unsupported case schema version {version} (this library reads ≤ {CASE_SCHEMA_VERSION})"
-                )));
-            }
+            check_schema(schema)?;
         }
         let title = String::from_value(serde::field(obj, "title")?)?;
         let nodes = Vec::<Node>::from_value(serde::field(obj, "nodes")?)?;
         let children = Vec::<Vec<usize>>::from_value(serde::field(obj, "children")?)?;
+        Case::from_parts(title, nodes, children)
+    }
+}
+
+/// Accepts a stored `"schema"` stamp this library can read.
+pub(crate) fn check_schema(schema: &Value) -> std::result::Result<(), serde::Error> {
+    let version =
+        schema.as_u64().ok_or_else(|| serde::Error::custom("case `schema` must be an integer"))?;
+    if version == 0 || version > CASE_SCHEMA_VERSION {
+        return Err(serde::Error::custom(format!(
+            "unsupported case schema version {version} (this library reads ≤ {CASE_SCHEMA_VERSION})"
+        )));
+    }
+    Ok(())
+}
+
+impl Case {
+    /// Assembles a decoded case, checking what its serialized form
+    /// cannot express: one adjacency row per node, child indices in
+    /// range, then — one pass over the nodes against one pre-reserved
+    /// name set — unique names and leaf confidences in `[0, 1]`. Both
+    /// decoders, [`Case::from_value`] and [`Case::from_json`], end here.
+    pub(crate) fn from_parts(
+        title: String,
+        nodes: Vec<Node>,
+        children: Vec<Vec<usize>>,
+    ) -> std::result::Result<Self, serde::Error> {
         if children.len() != nodes.len() {
             return Err(serde::Error::custom(format!(
                 "case has {} nodes but {} adjacency rows",
@@ -137,9 +174,9 @@ impl Deserialize for Case {
                 nodes.len()
             )));
         }
-        let mut by_name = HashMap::with_capacity(nodes.len());
-        for (i, node) in nodes.iter().enumerate() {
-            if by_name.insert(node.name.clone(), i).is_some() {
+        let mut names = HashSet::with_capacity(nodes.len());
+        for node in &nodes {
+            if !names.insert(node.name.as_str()) {
                 return Err(serde::Error::custom(format!("duplicate node name: {}", node.name)));
             }
             if let NodeKind::Evidence { confidence: c } | NodeKind::Assumption { confidence: c } =
@@ -149,7 +186,8 @@ impl Deserialize for Case {
                     .map_err(|e| serde::Error::custom(format!("node {}: {e}", node.name)))?;
             }
         }
-        Ok(Self { title, nodes, children, by_name })
+        drop(names);
+        Ok(Self { title, nodes, children, by_name: OnceLock::new() })
     }
 }
 
@@ -161,7 +199,7 @@ impl Case {
             title: title.into(),
             nodes: Vec::new(),
             children: Vec::new(),
-            by_name: HashMap::new(),
+            by_name: OnceLock::new(),
         }
     }
 
@@ -190,11 +228,11 @@ impl Case {
         kind: NodeKind,
     ) -> Result<NodeId> {
         let name = name.into();
-        if self.by_name.contains_key(&name) {
+        if self.name_index().contains_key(&name) {
             return Err(CaseError::DuplicateName(name));
         }
         let idx = self.nodes.len();
-        self.by_name.insert(name.clone(), idx);
+        self.by_name.get_mut().expect("built by the check above").insert(name.clone(), idx);
         self.nodes.push(Node { name, statement: statement.into(), kind });
         self.children.push(Vec::new());
         Ok(NodeId(idx))
@@ -389,7 +427,13 @@ impl Case {
     /// Looks a node up by its reference label.
     #[must_use]
     pub fn node_by_name(&self, name: &str) -> Option<NodeId> {
-        self.by_name.get(name).map(|&i| NodeId(i))
+        self.name_index().get(name).map(|&i| NodeId(i))
+    }
+
+    fn name_index(&self) -> &HashMap<String, usize> {
+        self.by_name.get_or_init(|| {
+            self.nodes.iter().enumerate().map(|(i, n)| (n.name.clone(), i)).collect()
+        })
     }
 
     /// The node payload behind a handle.

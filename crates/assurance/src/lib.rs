@@ -45,6 +45,7 @@
 #![deny(missing_docs)]
 #![deny(unsafe_code)]
 
+mod codec;
 mod dot;
 mod error;
 mod graph;

@@ -1754,8 +1754,8 @@ impl Engine {
 /// error is a human-readable reason (unreadable, unparseable, or
 /// hashing to the wrong address).
 fn verify_object(store: &Store, hash: u64) -> Result<Case, String> {
-    let doc = store.read_object(hash).map_err(|e| e.to_string())?;
-    let case = Case::from_value(&doc).map_err(|e| e.to_string())?;
+    let text = store.read_object_text(hash).map_err(|e| e.to_string())?;
+    let case = Case::from_json(&text).map_err(|e| e.to_string())?;
     if case.content_hash() != hash {
         return Err(format!("hashes to {}", format_hash(case.content_hash())));
     }

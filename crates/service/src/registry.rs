@@ -9,7 +9,6 @@ use crate::protocol::{lib_error, EditAction, ErrorCode, WireError};
 use crate::snapshot::VersionRecord;
 use crate::telemetry::TlsTracer;
 use depcase::assurance::{Case, EditStats, Incremental, NodeId};
-use serde::Deserialize;
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -38,8 +37,8 @@ pub(crate) type Opener<'a> = dyn FnMut(Case) -> Result<Incremental, WireError> +
 impl PackedCase {
     /// Packs a live case into its canonical serialized form.
     pub(crate) fn pack(case: &Case) -> PackedCase {
-        let doc = serde_json::to_string(case).expect("a live case always serializes");
-        PackedCase { form: Arc::new(Form::Full(doc.into())), title: case.title().into() }
+        let doc = case.to_json().into();
+        PackedCase { form: Arc::new(Form::Full(doc)), title: case.title().into() }
     }
 
     /// The version `action` made of this one, given the edited case: a
@@ -53,12 +52,14 @@ impl PackedCase {
         PackedCase { form, title: Arc::clone(&self.title) }
     }
 
-    /// A keyframe's case, parsed from its document; `None` for a delta,
+    /// A keyframe's case, decoded from its document; `None` for a delta,
     /// which only [`PackedCase::materialize`] rebuilds.
     pub(crate) fn unpack(&self) -> Option<Result<Case, WireError>> {
         let Form::Full(doc) = &*self.form else { return None };
-        let value = serde_json::value_from_str(doc).map_err(|e| internal("parse", e));
-        Some(value.and_then(|v| Case::from_value(&v).map_err(|e| internal("rebuild", e))))
+        // The engine packed these bytes itself: failing to read them
+        // back is an internal invariant break, not bad client input.
+        let broken = |e| format!("packed case document failed to decode: {e}");
+        Some(Case::from_json(doc).map_err(|e| WireError::new(ErrorCode::InternalError, broken(e))))
     }
 
     /// Rebuilds this version as a live session: `open` compiles the
@@ -95,8 +96,7 @@ pub(crate) fn write_documents(
             _ => version.materialize(&mut open_plain),
         }
         .map_err(|e| std::io::Error::other(e.message))?;
-        let doc = serde_json::to_string(session.case()).expect("a live case always serializes");
-        write(hash, &doc)?;
+        write(hash, &session.case().to_json())?;
         carried = Some((version, session));
     }
     Ok(())
@@ -105,12 +105,6 @@ pub(crate) fn write_documents(
 /// A session with a private memo, for rebuilds that only need the case.
 pub(crate) fn open_plain(case: Case) -> Result<Incremental, WireError> {
     Incremental::new(case).map_err(lib_error)
-}
-
-/// The engine packed these bytes itself: failing to read them back is
-/// an internal invariant break, not bad client input.
-fn internal(stage: &str, e: impl std::fmt::Display) -> WireError {
-    WireError::new(ErrorCode::InternalError, format!("packed case document failed to {stage}: {e}"))
 }
 
 /// Applies one wire edit action to an incremental session: the live

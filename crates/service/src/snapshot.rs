@@ -68,7 +68,9 @@ impl Manifest {
     /// The manifest's JSON text, written field by field: the bytes a
     /// serialized `Value` tree of it would have, without building one.
     fn to_text(&self) -> String {
-        let mut out = String::new();
+        // Reserved up front: growth by doubling leaves old copies resident.
+        let size = self.cases.iter().map(|c| 32 + c.name.len() + 80 * c.history.len());
+        let mut out = String::with_capacity(size.sum());
         let _ = write!(out, r#"{{"seq":{},"cases":["#, self.seq);
         for (i, case) in self.cases.iter().enumerate() {
             if i > 0 {
@@ -280,11 +282,15 @@ impl Store {
     /// [`std::io::Error`] when the object is missing or unreadable,
     /// with kind `InvalidData` when it does not parse.
     pub fn read_object(&self, hash: u64) -> std::io::Result<Value> {
-        let bytes = self.io.read_file(&self.object_path(hash))?;
-        let text = String::from_utf8(bytes)
-            .map_err(|e| invalid(format!("object {} is not UTF-8: {e}", format_hash(hash))))?;
-        serde_json::value_from_str(&text)
+        serde_json::value_from_str(&self.read_object_text(hash)?)
             .map_err(|e| invalid(format!("object {} does not parse: {e}", format_hash(hash))))
+    }
+
+    /// [`Store::read_object`]'s text, for decoding straight into a case.
+    pub(crate) fn read_object_text(&self, hash: u64) -> std::io::Result<String> {
+        let bytes = self.io.read_file(&self.object_path(hash))?;
+        String::from_utf8(bytes)
+            .map_err(|e| invalid(format!("object {} is not UTF-8: {e}", format_hash(hash))))
     }
 
     /// Every content hash with an object file currently stored, parsed
