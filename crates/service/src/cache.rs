@@ -27,7 +27,7 @@
 
 use depcase::assurance::Incremental;
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Counter snapshot for observability.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -40,17 +40,53 @@ pub struct CacheCounters {
     pub evictions: u64,
 }
 
+/// One cached case version: its session, which it derefs to, and the
+/// `nodes` text of its `eval` answer, only ever rendered from it.
+#[derive(Debug, Clone)]
+pub struct Cached {
+    session: Incremental,
+    nodes: OnceLock<Arc<str>>,
+}
+
+impl Cached {
+    /// The `nodes` text, rendered from the session by `render` on the
+    /// first call and shared by every later one.
+    pub fn nodes(&self, render: impl FnOnce(&Incremental) -> Arc<str>) -> Arc<str> {
+        Arc::clone(self.nodes.get_or_init(|| render(&self.session)))
+    }
+}
+
+impl From<Incremental> for Cached {
+    fn from(session: Incremental) -> Self {
+        Cached { session, nodes: OnceLock::new() }
+    }
+}
+
+/// The session alone, for an edit to mutate; the text is dropped.
+impl From<Cached> for Incremental {
+    fn from(cached: Cached) -> Self {
+        cached.session
+    }
+}
+
+impl std::ops::Deref for Cached {
+    type Target = Incremental;
+    fn deref(&self) -> &Incremental {
+        &self.session
+    }
+}
+
 /// One cached entry plus its links in the recency list. `prev` points
 /// toward the least-recently-used end, `next` toward the most recent;
 /// `None` marks the ends.
 #[derive(Debug)]
 struct Node {
-    compiled: Arc<Incremental>,
+    compiled: Arc<Cached>,
     prev: Option<u64>,
     next: Option<u64>,
 }
 
-/// A least-recently-used map from content hash to [`Incremental`] session, with
+/// A least-recently-used map from content hash to [`Cached`] session, with
 /// O(1) lookup, insertion, and eviction.
 #[derive(Debug)]
 pub struct PlanCache {
@@ -79,7 +115,7 @@ impl PlanCache {
     }
 
     /// Looks a compiled case up, refreshing its recency on hit.
-    pub fn get(&mut self, hash: u64) -> Option<Arc<Incremental>> {
+    pub fn get(&mut self, hash: u64) -> Option<Arc<Cached>> {
         if !self.entries.contains_key(&hash) {
             self.counters.misses += 1;
             return None;
@@ -92,7 +128,7 @@ impl PlanCache {
 
     /// Removes a compiled case for its owner to mutate, counting the
     /// lookup like [`PlanCache::get`].
-    pub fn take(&mut self, hash: u64) -> Option<Arc<Incremental>> {
+    pub fn take(&mut self, hash: u64) -> Option<Arc<Cached>> {
         self.get(hash)?;
         self.unlink(hash);
         self.entries.remove(&hash).map(|node| node.compiled)
@@ -101,7 +137,7 @@ impl PlanCache {
     /// Inserts a freshly compiled case, evicting the least recently used
     /// entry if the cache is full. Re-inserting an existing hash just
     /// refreshes the entry.
-    pub fn insert(&mut self, hash: u64, compiled: Arc<Incremental>) {
+    pub fn insert(&mut self, hash: u64, compiled: Arc<Cached>) {
         if let Some(node) = self.entries.get_mut(&hash) {
             node.compiled = compiled;
             self.unlink(hash);
@@ -181,12 +217,12 @@ mod tests {
     use super::*;
     use depcase::prelude::*;
 
-    fn compiled(confidence: f64) -> Arc<Incremental> {
+    fn compiled(confidence: f64) -> Arc<Cached> {
         let mut case = Case::new("t");
         let g = case.add_goal("G", "claim").unwrap();
         let e = case.add_evidence("E", "evidence", confidence).unwrap();
         case.support(g, e).unwrap();
-        Arc::new(Incremental::new(case).unwrap())
+        Arc::new(Incremental::new(case).unwrap().into())
     }
 
     #[test]

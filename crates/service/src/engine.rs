@@ -47,7 +47,7 @@
 //! are bit-identical to in-process evaluation (the integration tests
 //! assert this via `f64::to_bits`).
 
-use crate::cache::{CacheCounters, PlanCache};
+use crate::cache::{CacheCounters, Cached, PlanCache};
 use crate::lock_unpoisoned;
 use crate::protocol::{
     format_hash, lib_error, BatchItem, EditAction, ErrorCode, EvalAt, Request, Response, WireError,
@@ -68,8 +68,10 @@ use depcase::distributions::TwoPoint;
 use depcase::sil::{SilAssessment, SilLevel};
 use serde::{Deserialize, Value};
 use std::collections::{HashMap, HashSet};
+use std::num::NonZeroUsize;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::mpsc::TrySendError;
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
@@ -575,21 +577,28 @@ impl Engine {
     /// than failing the whole restore — the WAL tail may rebuild it
     /// ([`Engine::heal_after_replay`]), and until something does, reads
     /// that resolve to it answer `data_corrupted`.
+    ///
+    /// This thread reads each object once, in manifest order, while
+    /// [`verify_all`] decodes and hashes them on the other cores; they
+    /// are then parked or quarantined in manifest order, so the store
+    /// sees the same operations whatever the scheduling.
     fn restore_snapshot(&self, store: &Store, manifest: &Manifest) -> std::io::Result<()> {
+        let mut seen = HashSet::new();
+        let hashes = manifest.cases.iter().flat_map(|c| &c.history).map(|record| record.hash);
+        let reads = hashes.filter(|&hash| seen.insert(hash));
+        let verified = verify_all(reads.map(|hash| (hash, store.read_object_text(hash))));
         for snap_case in &manifest.cases {
-            // Objects park in the shard that owns the case's name; the
-            // shard lock is dropped around each disk read + verify.
+            // Objects park in the shard that owns the case's name.
             let shard = self.registry(&snap_case.name);
             for record in &snap_case.history {
                 if lock_unpoisoned(shard).objects.contains_key(&record.hash) {
                     continue;
                 }
-                match verify_object(store, record.hash) {
-                    Ok(case) => {
-                        let packed = PackedCase::pack(&case);
-                        lock_unpoisoned(shard).objects.insert(record.hash, packed);
+                match &verified[&record.hash] {
+                    Ok(packed) => {
+                        lock_unpoisoned(shard).objects.insert(record.hash, packed.clone());
                     }
-                    Err(reason) => self.quarantine(store, record.hash, &reason),
+                    Err(reason) => self.quarantine(store, record.hash, reason),
                 }
             }
             // The name serves only if its **newest** version survived —
@@ -1094,7 +1103,7 @@ impl Engine {
         let session = telemetry::with_span("plan_compile", || self.open_session(case))?;
         let (hash, nodes) = (session.case_hash(), session.case().len());
         let packed = PackedCase::pack(session.case());
-        lock_unpoisoned(self.cache(hash)).insert(hash, Arc::new(session));
+        lock_unpoisoned(self.cache(hash)).insert(hash, Arc::new(session.into()));
         let version = self.commit_mutation(name, packed, hash, OpRef::Load { doc })?;
         Ok(Value::Object(vec![
             ("name".to_string(), Value::Str(name.to_string())),
@@ -1177,11 +1186,11 @@ impl Engine {
     /// the lock on a miss. Two workers racing on the same cold case may
     /// both compile; the cache keeps whichever inserts last — identical
     /// content, so correctness is unaffected.
-    fn compiled(&self, entry: &CaseEntry) -> Result<Arc<Incremental>, WireError> {
+    fn compiled(&self, entry: &CaseEntry) -> Result<Arc<Cached>, WireError> {
         if let Some(hit) = lock_unpoisoned(self.cache(entry.hash)).get(entry.hash) {
             return Ok(hit);
         }
-        let compiled = Arc::new(self.compile_entry(entry)?);
+        let compiled = Arc::new(Cached::from(self.compile_entry(entry)?));
         lock_unpoisoned(self.cache(entry.hash)).insert(entry.hash, Arc::clone(&compiled));
         Ok(compiled)
     }
@@ -1216,7 +1225,7 @@ impl Engine {
         let entry = self.lookup_at(name, at)?;
         let compiled = self.compiled(&entry)?;
         check_deadline(deadline)?;
-        Ok(eval_value(&entry, compiled.case(), compiled.as_report()))
+        Ok(cached_eval_value(&entry, &compiled))
     }
 
     /// Dispatches a `batch` request: every item is answered in wire
@@ -1342,14 +1351,13 @@ impl Engine {
             }
             return;
         }
-        // Cache hits answer from the memoised report; keyframe misses
-        // unpack their registry copy and queue for the wide kernel.
+        // Cache hits answer from the session's rendered text; keyframe
+        // misses unpack their registry copy and queue for the wide kernel.
         let mut cold: Vec<(CaseEntry, Case, Vec<usize>, EvalPlan)> = Vec::new();
         for (entry, idxs) in wanted {
             let hit = lock_unpoisoned(self.cache(entry.hash)).get(entry.hash);
             if let Some(hit) = hit {
-                let value = eval_value(&entry, hit.case(), hit.as_report());
-                fill(answers, &idxs, Response::Ok(value));
+                fill(answers, &idxs, Response::Ok(cached_eval_value(&entry, &hit)));
             } else if let Some(unpacked) = entry.case.unpack() {
                 let unpacked = unpacked.and_then(|case| {
                     EvalPlan::compile(&case).map(|plan| (case, plan)).map_err(lib_error)
@@ -1361,7 +1369,9 @@ impl Engine {
             } else {
                 // A delta is rebuilt as a session: it answers from that.
                 let session = entry.case.materialize(&mut open_plain);
-                let response = session.map(|s| eval_value(&entry, s.case(), s.as_report()));
+                let response = session.map(|s| {
+                    eval_value(&entry, s.as_report(), nodes_text(s.case(), s.as_report()))
+                });
                 fill(answers, &idxs, response.into());
             }
         }
@@ -1385,8 +1395,7 @@ impl Engine {
                 // A lone shape gains nothing from the batch kernel; the
                 // ordinary path also warms the plan cache for follow-ups.
                 let (entry, _, idxs, _) = &cold[only];
-                let response =
-                    self.compiled(entry).map(|c| eval_value(entry, c.case(), c.as_report())).into();
+                let response = self.compiled(entry).map(|c| cached_eval_value(entry, &c)).into();
                 fill(answers, idxs, response);
                 continue;
             }
@@ -1395,7 +1404,8 @@ impl Engine {
                 Ok(reports) => {
                     for (&p, report) in group.iter().zip(&reports) {
                         let (entry, case, idxs, _) = &cold[p];
-                        fill(answers, idxs, Response::Ok(eval_value(entry, case, report)));
+                        let nodes = nodes_text(case, report);
+                        fill(answers, idxs, Response::Ok(eval_value(entry, report, nodes)));
                     }
                 }
                 Err(e) => {
@@ -1452,19 +1462,19 @@ impl Engine {
     ) -> Result<Value, WireError> {
         let entry = self.lookup(name)?;
         let taken = lock_unpoisoned(self.cache(entry.hash)).take(entry.hash);
-        let mut base =
-            taken.map_or_else(|| self.compile_entry(&entry), |c| Ok(Arc::unwrap_or_clone(c)))?;
+        let mut base = taken
+            .map_or_else(|| self.compile_entry(&entry), |c| Ok(Arc::unwrap_or_clone(c).into()))?;
         let applied = check_deadline(deadline).and_then(|()| apply_action(&mut base, action));
         let delta = match applied {
             Ok(delta) => delta,
             Err(e) => {
-                lock_unpoisoned(self.cache(entry.hash)).insert(entry.hash, Arc::new(base));
+                lock_unpoisoned(self.cache(entry.hash)).insert(entry.hash, Arc::new(base.into()));
                 return Err(e);
             }
         };
         let (hash, nodes, top) = (base.case_hash(), base.case().len(), base.as_report().top());
         let packed = entry.case.edited(action, base.case());
-        lock_unpoisoned(self.cache(hash)).insert(hash, Arc::new(base));
+        lock_unpoisoned(self.cache(hash)).insert(hash, Arc::new(base.into()));
         let op = OpRef::Edit { base_hash: entry.hash, action };
         let version = self.commit_mutation(name, packed, hash, op)?;
         lock_unpoisoned(&self.stats).note_edit(delta.nodes_recomputed, delta.nodes_reused);
@@ -1705,7 +1715,9 @@ impl Engine {
         for hash in hashes {
             let durability = lock_unpoisoned(&self.durability);
             let Some(d) = durability.as_ref() else { break };
-            let Err(reason) = verify_object(&d.store, hash) else { continue };
+            let Err(reason) = verify_object(hash, d.store.read_object_text(hash)) else {
+                continue;
+            };
             corrupt_found += 1;
             // The registry's stored version was verified when it entered
             // (load, edit, or checked restore): writing its document
@@ -1749,17 +1761,63 @@ impl Engine {
     }
 }
 
-/// Reads one stored object and verifies its bytes hash back to their
-/// content address, the store-side half of the scrub pipeline. The
-/// error is a human-readable reason (unreadable, unparseable, or
-/// hashing to the wrong address).
-fn verify_object(store: &Store, hash: u64) -> Result<Case, String> {
-    let text = store.read_object_text(hash).map_err(|e| e.to_string())?;
+/// Verifies that a stored object's bytes, as `read`, hash back to
+/// their content address: the store-side half of the scrub pipeline,
+/// and of restore, which keeps the verified text as the version's
+/// packed document. The error is a human-readable reason (unreadable,
+/// unparseable, or hashing to the wrong address).
+fn verify_object(hash: u64, read: std::io::Result<String>) -> Result<PackedCase, String> {
+    let text: Arc<str> = read.map_err(|e| e.to_string())?.into();
     let case = Case::from_json(&text).map_err(|e| e.to_string())?;
     if case.content_hash() != hash {
         return Err(format!("hashes to {}", format_hash(case.content_hash())));
     }
-    Ok(case)
+    Ok(PackedCase::stored(text, case.title()))
+}
+
+/// [`verify_object`] over `reads`, by hash. This thread pulls the reads,
+/// so the store sees them in order, and queues them 64 at a time for up
+/// to [`std::thread::available_parallelism`] − 1 scoped helpers. When
+/// the short queue is full it verifies the batch itself, so the texts
+/// waiting in memory stay bounded.
+fn verify_all(
+    mut reads: impl Iterator<Item = (u64, std::io::Result<String>)>,
+) -> HashMap<u64, Result<PackedCase, String>> {
+    let verify = |batch: Vec<(u64, std::io::Result<String>)>| {
+        batch.into_iter().map(|(hash, read)| (hash, verify_object(hash, read)))
+    };
+    let threads = std::thread::available_parallelism().map_or(1, NonZeroUsize::get);
+    let (tx, rx) = std::sync::mpsc::sync_channel(threads);
+    let rx = Mutex::new(rx);
+    let help = || {
+        let mut done = HashMap::new();
+        loop {
+            let batch = lock_unpoisoned(&rx).recv();
+            let Ok(batch) = batch else { return done };
+            done.extend(verify(batch));
+        }
+    };
+    std::thread::scope(|s| {
+        let helpers: Vec<_> = (1..threads).map(|_| s.spawn(help)).collect();
+        let mut done = HashMap::new();
+        loop {
+            let batch: Vec<_> = reads.by_ref().take(64).collect();
+            if batch.is_empty() {
+                break;
+            }
+            if let Err(TrySendError::Full(batch) | TrySendError::Disconnected(batch)) =
+                tx.try_send(batch)
+            {
+                done.extend(verify(batch));
+            }
+        }
+        drop(tx);
+        done.extend(help());
+        for helper in helpers {
+            done.extend(helper.join().expect("object verification panicked"));
+        }
+        done
+    })
 }
 
 /// True for requests that commit a new case version (the batch
@@ -1784,28 +1842,46 @@ fn effective_deadline(
 }
 
 /// The `eval` response body for one case version under one propagated
-/// report. Shared by the single-request path (memoised session report)
-/// and the batch path (struct-of-arrays kernel report) — both report
-/// sources are bit-identical, so so is the rendered value.
-fn eval_value(entry: &CaseEntry, case: &Case, report: &ConfidenceReport) -> Value {
-    let mut nodes = Vec::new();
-    for (id, node) in case.iter() {
-        if let Some(c) = report.confidence(id) {
-            nodes.push(Value::Object(vec![
-                ("name".to_string(), Value::Str(node.name.clone())),
-                ("kind".to_string(), Value::Str(kind_name(&node.kind).to_string())),
-                ("confidence".to_string(), Value::F64(c.independent)),
-                ("worst_case".to_string(), Value::F64(c.worst_case)),
-                ("best_case".to_string(), Value::F64(c.best_case)),
-            ]));
-        }
-    }
+/// report, its `nodes` text spliced in. Shared by the single-request
+/// path (memoised session report) and the batch path (struct-of-arrays
+/// kernel report) — both report sources are bit-identical, so so is
+/// the rendered value.
+fn eval_value(entry: &CaseEntry, report: &ConfidenceReport, nodes: Arc<str>) -> Value {
     let mut fields = case_header(entry);
     if let Some(top) = report.top() {
         fields.push(("root_confidence".to_string(), Value::F64(top.independent)));
     }
-    fields.push(("nodes".to_string(), Value::Array(nodes)));
+    fields.push(("nodes".to_string(), Value::Raw(nodes)));
     Value::Object(fields)
+}
+
+/// [`eval_value`] from a cached session, rendering its text at most once.
+fn cached_eval_value(entry: &CaseEntry, cached: &Cached) -> Value {
+    let nodes = cached.nodes(|s| nodes_text(s.case(), s.as_report()));
+    eval_value(entry, cached.as_report(), nodes)
+}
+
+/// An `eval` answer's `nodes` array, written straight to text with the
+/// JSON writer's own printers, so the bytes are those of a `Value` tree.
+fn nodes_text(case: &Case, report: &ConfidenceReport) -> Arc<str> {
+    let mut out = String::with_capacity(96 * case.len() + 2);
+    out.push('[');
+    for (id, node) in case.iter() {
+        let Some(c) = report.confidence(id) else { continue };
+        out.push_str(if out.len() == 1 { "{\"name\":" } else { ",{\"name\":" });
+        serde_json::push_string(&mut out, &node.name);
+        out.push_str(",\"kind\":\"");
+        out.push_str(kind_name(&node.kind));
+        out.push_str("\",\"confidence\":");
+        serde_json::push_f64(&mut out, c.independent);
+        out.push_str(",\"worst_case\":");
+        serde_json::push_f64(&mut out, c.worst_case);
+        out.push_str(",\"best_case\":");
+        serde_json::push_f64(&mut out, c.best_case);
+        out.push('}');
+    }
+    out.push(']');
+    out.into()
 }
 
 fn case_header(entry: &CaseEntry) -> Vec<(String, Value)> {

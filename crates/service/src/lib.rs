@@ -9,9 +9,8 @@
 //! - **Registry** — cases are loaded under client-chosen names and
 //!   versioned on every reload ([`Engine`]).
 //! - **Plan cache** — compiled [`EvalPlan`](depcase::assurance::EvalPlan)s,
-//!   analytic reports, and live
-//!   [`Incremental`](depcase::assurance::Incremental) sessions are kept
-//!   in an LRU keyed by
+//!   analytic reports, live [`Incremental`](depcase::assurance::Incremental)
+//!   sessions and their rendered `eval` text are kept in an LRU keyed by
 //!   [`Case::content_hash`](depcase::assurance::Case::content_hash), so
 //!   an unchanged case never recompiles ([`PlanCache`]).
 //! - **Incremental edits** — the `edit` op mutates a loaded case (set a
@@ -76,7 +75,7 @@ pub mod telemetry;
 pub mod trace;
 pub mod wal;
 
-pub use cache::{CacheCounters, PlanCache};
+pub use cache::{CacheCounters, Cached, PlanCache};
 pub use client::{code_is_retryable, Client, RetryPolicy, RetryingClient};
 pub use engine::{DurabilityConfig, Engine, EngineConfig, DEFAULT_MEMO_ENTRIES, DEFAULT_SHARDS};
 pub use faults::{FaultPlan, InjectedCounts};

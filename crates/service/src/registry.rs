@@ -25,7 +25,8 @@ pub(crate) struct PackedCase {
 
 #[derive(Debug)]
 enum Form {
-    /// The canonical serialized document (the snapshot object form).
+    /// The serialized document (the snapshot object form): canonical
+    /// when packed here, as read when restored from the store.
     Full(Arc<str>),
     /// `action` applied to `base`, `depth` deltas past the keyframe.
     Delta { base: PackedCase, action: EditAction, depth: u32 },
@@ -39,6 +40,12 @@ impl PackedCase {
     pub(crate) fn pack(case: &Case) -> PackedCase {
         let doc = case.to_json().into();
         PackedCase { form: Arc::new(Form::Full(doc)), title: case.title().into() }
+    }
+
+    /// A stored object's text, already decoded once to check it: kept
+    /// as read rather than re-encoded.
+    pub(crate) fn stored(doc: Arc<str>, title: &str) -> PackedCase {
+        PackedCase { form: Arc::new(Form::Full(doc)), title: title.into() }
     }
 
     /// The version `action` made of this one, given the edited case: a
@@ -56,8 +63,8 @@ impl PackedCase {
     /// which only [`PackedCase::materialize`] rebuilds.
     pub(crate) fn unpack(&self) -> Option<Result<Case, WireError>> {
         let Form::Full(doc) = &*self.form else { return None };
-        // The engine packed these bytes itself: failing to read them
-        // back is an internal invariant break, not bad client input.
+        // The engine packed or verified these bytes itself: failing to
+        // read them back is an internal invariant break, not bad input.
         let broken = |e| format!("packed case document failed to decode: {e}");
         Some(Case::from_json(doc).map_err(|e| WireError::new(ErrorCode::InternalError, broken(e))))
     }
@@ -74,7 +81,7 @@ impl PackedCase {
     }
 }
 
-/// Hands each version's canonical document to `write`, carrying the
+/// Hands each version's serialized document to `write`, carrying the
 /// case forward: a delta on the version just before it (history order)
 /// applies one action to that session instead of replaying its chain.
 pub(crate) fn write_documents(
@@ -330,9 +337,12 @@ mod tests {
             let at = Some(EvalAt::Version(v as u64 + 1));
             let eval = engine.handle(&Request::Eval { name: "t".into(), at }).unwrap();
             let report = mirror.propagate().unwrap();
-            let wire: Vec<u64> = eval
-                .get("nodes")
-                .and_then(Value::as_array)
+            // `nodes` is spliced in as rendered text: read it back as the
+            // wire would.
+            let nodes = serde_json::value_to_string(eval.get("nodes").unwrap());
+            let wire: Vec<u64> = serde_json::value_from_str(&nodes)
+                .unwrap()
+                .as_array()
                 .unwrap()
                 .iter()
                 .map(|n| n.get("confidence").and_then(Value::as_f64).unwrap().to_bits())

@@ -131,3 +131,66 @@ fn a_restart_through_snapshot_objects_answers_byte_identically() {
     drop(engine);
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// A restore large enough to verify its objects in several batches, on
+/// as many threads as the host has, parks every version where reading
+/// them one by one would: intact versions answer as before, a damaged
+/// historical object fails only its own version, a damaged current
+/// object poisons only its own name, and each is quarantined once.
+#[test]
+fn a_restore_verified_in_batches_keeps_every_answer_and_each_quarantine() {
+    let dir = std::env::temp_dir().join(format!("depcase_restart_batches_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let names: Vec<String> = (0..12).map(|k| format!("case \"{k}\" é")).collect();
+    let edits = 20;
+    let versions = edits as u64 + 1;
+    let (before, damaged) = {
+        let engine = Engine::open(1, &config(&dir)).unwrap();
+        for (k, name) in names.iter().enumerate() {
+            let case = Serialize::to_value(&labelled_case(k));
+            let loaded = answer(&engine, &Request::Load { name: name.clone(), case });
+            assert!(loaded.contains("\"ok\":true"), "{loaded}");
+        }
+        for i in 0..edits {
+            for (k, name) in names.iter().enumerate() {
+                let request = Request::Edit { name: name.clone(), action: edit(i, k) };
+                let edited = answer(&engine, &request);
+                assert!(edited.contains("\"ok\":true"), "edit {i}: {edited}");
+            }
+        }
+        let hash = |name: &String, version| {
+            let request = Request::Eval { name: name.clone(), at: Some(EvalAt::Version(version)) };
+            let eval = engine.handle(&request).unwrap();
+            eval.get("hash").and_then(Value::as_str).unwrap().to_string()
+        };
+        // Name 3's fifth version and name 7's current one.
+        let damaged = [hash(&names[3], 5), hash(&names[7], versions)];
+        (transcript(&engine, &names, versions), damaged)
+    };
+    let objects = std::fs::read_dir(dir.join("objects")).unwrap().count();
+    assert_eq!(objects, names.len() * (edits + 1), "one object per version, several batches");
+    for hash in &damaged {
+        let path = dir.join("objects").join(format!("{hash}.json"));
+        let bytes = std::fs::read(&path).unwrap();
+        std::fs::write(&path, &bytes[..bytes.len() / 2]).unwrap();
+    }
+
+    let engine = Engine::open(1, &config(&dir)).unwrap();
+    let health = engine.storage_health();
+    assert_eq!((health.corrupt_detected, health.quarantined), (2, 2), "{health:?}");
+    assert_eq!(std::fs::read_dir(dir.join("quarantine")).unwrap().count(), 2);
+    let after = transcript(&engine, &names, versions);
+    assert_eq!(before.len(), after.len());
+    // Each name's lines: its history, then `eval` at versions 1, 2, ….
+    let per_name = edits + 2;
+    for (i, (b, a)) in before.iter().zip(&after).enumerate() {
+        let (name, line) = (i / per_name, i % per_name);
+        if name == 7 || (name == 3 && line == 5) {
+            assert!(a.contains("\"data_corrupted\""), "name {name} line {line}: {a}");
+        } else {
+            assert_eq!(b, a, "name {name} line {line}");
+        }
+    }
+    drop(engine);
+    let _ = std::fs::remove_dir_all(&dir);
+}

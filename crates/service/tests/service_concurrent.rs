@@ -242,3 +242,37 @@ fn wire_shutdown_reports_final_stats_and_stops_the_server() {
     assert!(server.is_shutting_down());
     server.shutdown();
 }
+
+#[test]
+fn pipelined_lines_on_one_connection_answer_in_request_order() {
+    // Four workers: the eval, bands and stats behind a slow mc finish
+    // first, yet must wait their turn on the connection.
+    let engine = Arc::new(Engine::new(8));
+    let server = Server::bind(Arc::clone(&engine), ("127.0.0.1", 0), 4).unwrap();
+    let mut client = Client::connect(server.local_addr()).unwrap();
+    parse(&client.round_trip(&load_line("reactor", &reactor_case())).unwrap());
+    let requests = [
+        r#"{"id":1,"op":"mc","name":"reactor","samples":400000,"seed":5,"threads":1}"#,
+        r#"{"id":2,"op":"eval","name":"reactor"}"#,
+        r#"{"id":3,"v":2,"op":"bands","name":"reactor","pfd_bound":1e-3}"#,
+        r#"{"id":4,"op":"stats"}"#,
+    ];
+    let alone: Vec<String> = requests.iter().map(|r| client.round_trip(r).unwrap()).collect();
+
+    let mut stream = std::net::TcpStream::connect(server.local_addr()).unwrap();
+    std::io::Write::write_all(&mut stream, format!("{}\n", requests.join("\n")).as_bytes())
+        .unwrap();
+    let mut reader = std::io::BufReader::new(stream);
+    for (request, want) in requests.iter().zip(&alone) {
+        let mut got = String::new();
+        std::io::BufRead::read_line(&mut reader, &mut got).unwrap();
+        let got = got.trim_end();
+        if request.contains("stats") {
+            // Its counters moved since it ran alone; its place did not.
+            assert!(got.starts_with(r#"{"id":4,"ok":true,"result":{"requests":"#), "{got}");
+        } else {
+            assert_eq!(got, want, "answer to {request}");
+        }
+    }
+    server.shutdown();
+}
