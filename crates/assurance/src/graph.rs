@@ -154,8 +154,12 @@ impl Case {
     /// Assembles a decoded case, checking what its serialized form
     /// cannot express: one adjacency row per node, child indices in
     /// range, then — one pass over the nodes against one pre-reserved
-    /// name set — unique names and leaf confidences in `[0, 1]`. Both
-    /// decoders, [`Case::from_value`] and [`Case::from_json`], end here.
+    /// name set and one edge-marker array — unique names, leaf
+    /// confidences in `[0, 1]`, and the edge rules [`Case::support`]
+    /// enforces, each refused with its reason: no self-support, no child
+    /// under evidence or context, no context child, no repeated edge.
+    /// Cycles are left to evaluation, as for built cases. Both decoders,
+    /// [`Case::from_value`] and [`Case::from_json`], end here.
     pub(crate) fn from_parts(
         title: String,
         nodes: Vec<Node>,
@@ -175,7 +179,9 @@ impl Case {
             )));
         }
         let mut names = HashSet::with_capacity(nodes.len());
-        for node in &nodes {
+        // `marked[c] == p + 1` once row `p` has listed child `c`.
+        let mut marked = vec![0usize; nodes.len()];
+        for (p, (node, row)) in nodes.iter().zip(&children).enumerate() {
             if !names.insert(node.name.as_str()) {
                 return Err(serde::Error::custom(format!("duplicate node name: {}", node.name)));
             }
@@ -184,6 +190,13 @@ impl Case {
             {
                 check_confidence(c)
                     .map_err(|e| serde::Error::custom(format!("node {}: {e}", node.name)))?;
+            }
+            for &c in row {
+                check_edge(&nodes, p, c).map_err(serde::Error::custom)?;
+                if std::mem::replace(&mut marked[c], p + 1) == p + 1 {
+                    let reason = format!("edge {} → {} is repeated", node.name, nodes[c].name);
+                    return Err(serde::Error::custom(CaseError::InvalidEdge { reason }));
+                }
             }
         }
         drop(names);
@@ -320,22 +333,7 @@ impl Case {
     pub fn support(&mut self, parent: NodeId, child: NodeId) -> Result<()> {
         let p = self.index(parent)?;
         let c = self.index(child)?;
-        if p == c {
-            return Err(CaseError::InvalidEdge { reason: "a node cannot support itself".into() });
-        }
-        match self.nodes[p].kind {
-            NodeKind::Evidence { .. } | NodeKind::Context => {
-                return Err(CaseError::InvalidEdge {
-                    reason: format!("leaf node {} cannot be supported", self.nodes[p].name),
-                });
-            }
-            _ => {}
-        }
-        if matches!(self.nodes[c].kind, NodeKind::Context) {
-            return Err(CaseError::InvalidEdge {
-                reason: "context nodes do not support claims; attach them as context".into(),
-            });
-        }
+        check_edge(&self.nodes, p, c)?;
         if self.reaches(c, p) {
             return Err(CaseError::InvalidEdge {
                 reason: format!(
@@ -399,14 +397,7 @@ impl Case {
         if f == t {
             return Ok(());
         }
-        if t == p {
-            return Err(CaseError::InvalidEdge { reason: "a node cannot support itself".into() });
-        }
-        if matches!(self.nodes[t].kind, NodeKind::Context) {
-            return Err(CaseError::InvalidEdge {
-                reason: "context nodes do not support claims; attach them as context".into(),
-            });
-        }
+        check_edge(&self.nodes, p, t)?;
         if self.children[p].contains(&t) {
             return Err(CaseError::InvalidEdge {
                 reason: format!("{} already supports {}", self.nodes[t].name, self.nodes[p].name),
@@ -610,6 +601,21 @@ impl fmt::Display for Case {
     }
 }
 
+/// The rules every edge `p → c` keeps, however the case was built: no
+/// self-support, nothing under evidence or context, no context child.
+fn check_edge(nodes: &[Node], p: usize, c: usize) -> Result<()> {
+    let reason = if p == c {
+        "a node cannot support itself".to_string()
+    } else if matches!(nodes[p].kind, NodeKind::Evidence { .. } | NodeKind::Context) {
+        format!("leaf node {} cannot be supported", nodes[p].name)
+    } else if matches!(nodes[c].kind, NodeKind::Context) {
+        "context nodes do not support claims; attach them as context".to_string()
+    } else {
+        return Ok(());
+    };
+    Err(CaseError::InvalidEdge { reason })
+}
+
 fn check_confidence(c: f64) -> Result<()> {
     if !(0.0..=1.0).contains(&c) {
         return Err(CaseError::InvalidConfidence(format!("{c} outside [0, 1]")));
@@ -804,6 +810,46 @@ mod tests {
         }
         let ok = r#"{"schema":1,"title":"t","nodes":[{"name":"G1","statement":"a","kind":"Goal"},{"name":"E1","statement":"b","kind":{"Evidence":{"confidence":1.0}}}],"children":[[1],[]]}"#;
         assert!(serde_json::from_str::<Case>(ok).is_ok(), "the unit interval is closed");
+    }
+
+    #[test]
+    fn decoded_edges_obey_the_builders_rules() {
+        // Each document breaks one rule `support` enforces, and both
+        // decoders refuse it with `support`'s reason, so no decoded case
+        // can mean what no built case can.
+        let doc = |nodes: &[&str], children: &str| {
+            format!(
+                r#"{{"schema":1,"title":"t","nodes":[{}],"children":{children}}}"#,
+                nodes.join(",")
+            )
+        };
+        let g = r#"{"name":"G","statement":"c","kind":"Goal"}"#;
+        let s = r#"{"name":"S","statement":"s","kind":{"Strategy":"AllOf"}}"#;
+        let e = r#"{"name":"E","statement":"e","kind":{"Evidence":{"confidence":0.9}}}"#;
+        let c = r#"{"name":"C","statement":"x","kind":"Context"}"#;
+        for (text, reason) in [
+            (doc(&[g, e], "[[0,1],[]]"), "a node cannot support itself"),
+            (doc(&[g, e, s], "[[1],[2],[]]"), "leaf node E cannot be supported"),
+            (doc(&[g, e, c], "[[1],[],[1]]"), "leaf node C cannot be supported"),
+            (doc(&[g, e, c], "[[1,2],[],[]]"), "context nodes do not support claims"),
+            (doc(&[g, e], "[[1,1],[]]"), "edge G → E is repeated"),
+        ] {
+            let by_value = serde_json::from_str::<Case>(&text).unwrap_err().to_string();
+            let by_codec = Case::from_json(&text).unwrap_err().to_string();
+            for err in [by_value, by_codec] {
+                assert!(err.contains(&format!("invalid edge: {reason}")), "{text}: {err}");
+            }
+        }
+        let mut built = Case::new("t");
+        let (g1, e1) =
+            (built.add_goal("G", "c").unwrap(), built.add_evidence("E", "e", 0.9).unwrap());
+        let err = built.support(g1, g1).unwrap_err().to_string();
+        assert!(err.contains("invalid edge: a node cannot support itself"), "{err}");
+        let err = built.support(e1, g1).unwrap_err().to_string();
+        assert!(err.contains("invalid edge: leaf node E cannot be supported"), "{err}");
+        // A child shared by two parents is one edge in each row.
+        let shared = doc(&[g, s, e], "[[1,2],[2],[]]");
+        assert!(serde_json::from_str::<Case>(&shared).is_ok() && Case::from_json(&shared).is_ok());
     }
 
     #[test]

@@ -3,20 +3,19 @@
 //! [`crate::server`], so thousands of mostly-idle monitoring sessions
 //! cost no threads of their own:
 //!
-//! - **One I/O thread** owns the listener, every connection socket,
-//!   and the epoll instance. Nothing else touches a socket.
+//! - **One I/O thread reads.** It owns the listener, the epoll instance
+//!   and every connection's read side: it accepts, cuts NDJSON lines
+//!   with a [`LineFramer`], queues them as [`Job`]s, sheds and reaps.
 //! - **Non-blocking sockets, edge-triggered wakeups.** Each readiness
-//!   edge drains the socket to `WouldBlock` (reads) or empties the
-//!   write buffer (writes), the invariant edge-triggering requires.
-//! - **Per-connection buffers.** Bytes accumulate in a
-//!   [`LineFramer`] until a full NDJSON line is framed; responses queue
-//!   in arrival order (FIFO per connection) and flush as the socket
-//!   accepts them.
-//! - **Workers never touch sockets.** Framed lines become [`Job`]s on
-//!   the shared queue; workers execute them and deposit the response
-//!   into the connection's reply slot, then wake the I/O thread over a
-//!   socketpair (the classic self-pipe pattern — `epoll_wait` cannot
-//!   watch a condvar).
+//!   edge drains the socket to `WouldBlock`, the invariant
+//!   edge-triggering requires.
+//! - **Workers write their own replies.** Each connection has one
+//!   [`Outbox`]: its socket and, under one mutex, its replies in request
+//!   order, the unsent bytes and the trace watermarks. The thread that
+//!   fills the front reply writes it, and every finished reply behind
+//!   it, until the socket would block. Only what a short write leaves
+//!   behind waits for the I/O thread, on the next `EPOLLOUT` edge. A
+//!   request crosses threads once, to its worker.
 //!
 //! Robustness: the connection cap and queue overflow answer
 //! `overloaded`, oversized lines answer `request_too_large` without
@@ -24,8 +23,8 @@
 //! answered when the client half-closes, idle connections are reaped
 //! after `read_timeout`, a client that stops draining responses is
 //! disconnected once its write buffer passes a bound, and shutdown
-//! stops reading, flushes what it can inside `drain_deadline`, and
-//! exits.
+//! stops reading, lets workers write what they finish inside
+//! `drain_deadline`, then closes every connection.
 //!
 //! The container has no crates.io access, so the four syscalls epoll
 //! needs are declared by hand below — the only unsafe code in the
@@ -37,12 +36,12 @@ use crate::lock_unpoisoned;
 use crate::protocol::{self, ErrorCode, WireError};
 use crate::server::{too_large_line, Frame, Job, LineFramer, Shared};
 use crate::stats::RobustnessEvent;
+use crate::telemetry::Telemetry;
 use crate::trace::TraceBuilder;
 use std::collections::{HashMap, VecDeque};
 use std::io::{self, Read, Write};
-use std::net::{TcpListener, TcpStream};
+use std::net::{Shutdown, TcpListener, TcpStream};
 use std::os::unix::io::AsRawFd;
-use std::os::unix::net::UnixStream;
 use std::sync::atomic::Ordering;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -144,64 +143,13 @@ impl Drop for Epoll {
     }
 }
 
-/// Where a worker deposits one response, with the request's trace still
-/// open in its `reply_flush` span, for the I/O thread to flush; the
-/// I/O thread finalizes the trace once the response bytes have actually
-/// been written to the socket.
-#[derive(Debug, Default)]
-pub(crate) struct ReplySlot(Mutex<Option<(String, Option<Box<TraceBuilder>>)>>);
-
-impl ReplySlot {
-    pub(crate) fn fill(&self, response: String, trace: Option<Box<TraceBuilder>>) {
-        *lock_unpoisoned(&self.0) = Some((response, trace));
-    }
-
-    fn take(&self) -> Option<(String, Option<Box<TraceBuilder>>)> {
-        lock_unpoisoned(&self.0).take()
-    }
-}
-
-/// Wakes the I/O thread when a reply slot fills: the completed
-/// connection token goes on the dirty list and one byte goes down the
-/// socketpair, turning a cross-thread completion into an epoll event.
-#[derive(Debug)]
-pub(crate) struct Notifier {
-    dirty: Mutex<Vec<u64>>,
-    wake_tx: UnixStream,
-    wake_rx: UnixStream,
-}
-
-impl Notifier {
-    pub(crate) fn new() -> io::Result<Notifier> {
-        let (wake_tx, wake_rx) = UnixStream::pair()?;
-        wake_tx.set_nonblocking(true)?;
-        wake_rx.set_nonblocking(true)?;
-        Ok(Notifier { dirty: Mutex::new(Vec::new()), wake_tx, wake_rx })
-    }
-
-    pub(crate) fn notify(&self, token: u64) {
-        lock_unpoisoned(&self.dirty).push(token);
-        // A full pipe means a wake is already pending — dropping the
-        // byte is correct, the dirty list carries the real signal.
-        let _ = (&self.wake_tx).write(&[1]);
-    }
-
-    /// Consumes the pending wake bytes and returns the dirty tokens.
-    fn take_dirty(&self) -> Vec<u64> {
-        let mut sink = [0u8; 256];
-        while matches!((&self.wake_rx).read(&mut sink), Ok(n) if n > 0) {}
-        std::mem::take(&mut *lock_unpoisoned(&self.dirty))
-    }
-}
-
 /// Bound on buffered-but-unsent response bytes per connection: a client
 /// that stops reading is disconnected rather than growing the buffer
 /// without limit.
 const WRITE_BUF_CAP: usize = 4 << 20;
 
 const LISTENER_TOKEN: u64 = 0;
-const WAKE_TOKEN: u64 = 1;
-const FIRST_CONN_TOKEN: u64 = 2;
+const FIRST_CONN_TOKEN: u64 = 1;
 const EVENTS_PER_WAIT: usize = 1024;
 
 /// Loop tick in milliseconds: bounds how stale the shutdown flag and
@@ -211,63 +159,185 @@ const TICK_MS: i32 = 25;
 /// How often the idle sweep walks the connection table.
 const REAP_SWEEP: Duration = Duration::from_millis(250);
 
-/// One multiplexed connection: its socket, framing state, and the FIFO
-/// of replies being computed or flushed.
-struct Conn {
+/// One connection's write side, shared by the I/O thread and every
+/// worker holding one of its requests. Writes never block, so a client
+/// that stops reading pins no worker. Closing is `shutdown`, which the
+/// I/O thread sees as `EPOLLHUP`; the fd itself closes only when the
+/// last `Arc<Outbox>` drops, so a late worker never writes into a
+/// reused fd number.
+pub(crate) struct Outbox {
     stream: TcpStream,
-    framer: LineFramer,
-    write_buf: Vec<u8>,
-    /// Prefix of `write_buf` already written to the socket.
+    state: Mutex<OutState>,
+}
+
+#[derive(Default)]
+struct OutState {
+    /// Replies from position `head` on, in request order; `None` is
+    /// still being computed.
+    replies: VecDeque<Option<(String, Option<Box<TraceBuilder>>)>>,
+    /// Position of the front of `replies`: every earlier reply is in `buf`.
+    head: u64,
+    buf: Vec<u8>,
+    /// Prefix of `buf` already written to the socket.
     written: usize,
-    /// Replies in request-arrival order; the front flushes first, so
-    /// out-of-order worker completions cannot reorder responses.
-    pending: VecDeque<Arc<ReplySlot>>,
-    /// Traces of replies sitting in `write_buf`, each keyed by the
-    /// buffer offset its response ends at; finalized once `written`
-    /// passes that watermark — i.e. once the bytes are with the kernel,
-    /// so `reply_flush` covers real socket time, not just queueing.
+    /// Traces of replies in `buf`, each keyed by the offset its response
+    /// ends at: `reply_flush` ends once `written` passes it.
     trace_marks: VecDeque<(usize, Box<TraceBuilder>)>,
-    last_activity: Instant,
-    /// Peer closed its sending half; flush what we owe, then drop.
+    /// Replies owed in all, once the peer has closed its sending half.
+    owed: Option<u64>,
+    closed: bool,
+    last_write: Option<Instant>,
+}
+
+impl Outbox {
+    /// Files the reply at position `seq`. A reply that completes the
+    /// front is written here, with every finished reply behind it; one
+    /// that finishes out of order waits for the thread that fills the
+    /// front. A closed connection drops it.
+    pub(crate) fn deliver(
+        &self,
+        seq: u64,
+        response: String,
+        trace: Option<Box<TraceBuilder>>,
+        telemetry: &Telemetry,
+    ) {
+        let mut guard = lock_unpoisoned(&self.state);
+        let st = &mut *guard;
+        if st.closed {
+            return;
+        }
+        let at = usize::try_from(seq - st.head).expect("reply position fits in memory");
+        st.replies.resize_with(st.replies.len().max(at + 1), || None);
+        st.replies[at] = Some((response, trace));
+        while let Some(Some((response, trace))) = st.replies.front_mut().map(Option::take) {
+            st.replies.pop_front();
+            st.head += 1;
+            if st.buf.is_empty() {
+                st.buf = response.into_bytes(); // nothing unsent: no copy
+            } else {
+                st.buf.extend_from_slice(response.as_bytes());
+            }
+            st.buf.push(b'\n');
+            if let Some(tb) = trace {
+                st.trace_marks.push_back((st.buf.len(), tb));
+            }
+        }
+        self.write_owed(st, telemetry);
+    }
+
+    /// The I/O thread's half: records how many replies are owed once the
+    /// peer has stopped sending and every request is read, then writes
+    /// what a short write left behind. True once the connection is closed.
+    fn flush(&self, owed: Option<u64>, telemetry: &Telemetry) -> bool {
+        let mut guard = lock_unpoisoned(&self.state);
+        if !guard.closed {
+            guard.owed = owed;
+            self.write_owed(&mut guard, telemetry);
+        }
+        guard.closed
+    }
+
+    /// Writes the unsent bytes until the socket would block, finalizes
+    /// every trace whose response the kernel now holds, and closes the
+    /// connection on a socket error, when the unsent bytes outgrow
+    /// [`WRITE_BUF_CAP`] (a reader that stopped reading), or when the
+    /// peer is gone and nothing more is owed.
+    fn write_owed(&self, st: &mut OutState, telemetry: &Telemetry) {
+        let mut failed = false;
+        while st.written < st.buf.len() {
+            match (&self.stream).write(&st.buf[st.written..]) {
+                Ok(n) if n > 0 => {
+                    st.written += n;
+                    st.last_write = Some(Instant::now());
+                }
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                _ => {
+                    failed = true;
+                    break;
+                }
+            }
+        }
+        while st.trace_marks.front().is_some_and(|(end, _)| *end <= st.written) {
+            let (_, tb) = st.trace_marks.pop_front().expect("front exists");
+            telemetry.finish(*tb);
+        }
+        if st.written == st.buf.len() {
+            // Keep no idle buffer: the next reply usually becomes one.
+            st.buf = Vec::new();
+            st.written = 0;
+        }
+        let done = st.owed == Some(st.head) && st.buf.is_empty();
+        if failed || done || st.buf.len() - st.written > WRITE_BUF_CAP {
+            Outbox::close(&self.stream, st);
+        }
+    }
+
+    /// Marks the outbox closed and shuts the socket down both ways; the
+    /// I/O thread sees `EPOLLHUP` and reaps the connection.
+    fn close(stream: &TcpStream, st: &mut OutState) {
+        st.closed = true;
+        let _ = stream.shutdown(Shutdown::Both);
+    }
+}
+
+/// The I/O thread's side of one connection: its outbox, its framing
+/// state, and the positions it has handed out in the outbox.
+struct Conn {
+    outbox: Arc<Outbox>,
+    framer: LineFramer,
+    /// Replies reserved so far: the next request's position. Only this
+    /// thread numbers replies, so reserving one takes no lock.
+    reserved: u64,
+    last_read: Instant,
+    /// Peer closed its sending half; close once every reply is out.
     peer_closed: bool,
 }
 
 impl Conn {
-    fn new(stream: TcpStream, max_line_bytes: usize) -> Conn {
-        Conn {
-            stream,
-            framer: LineFramer::new(max_line_bytes),
-            write_buf: Vec::new(),
-            written: 0,
-            pending: VecDeque::new(),
-            trace_marks: VecDeque::new(),
-            last_activity: Instant::now(),
-            peer_closed: false,
-        }
+    fn reserve(&mut self) -> u64 {
+        self.reserved += 1;
+        self.reserved - 1
     }
 
-    /// True once everything owed has been handed to the kernel.
+    /// True once the connection is closed; see [`Outbox::flush`].
+    fn flush(&self, shared: &Shared) -> bool {
+        self.outbox.flush(self.peer_closed.then_some(self.reserved), shared.engine.telemetry())
+    }
+
+    /// True once everything owed has been handed to the kernel, or can
+    /// no longer be.
     fn flushed(&self) -> bool {
-        self.pending.is_empty() && self.written == self.write_buf.len()
+        let st = lock_unpoisoned(&self.outbox.state);
+        st.closed || (st.head == self.reserved && st.buf.is_empty())
+    }
+
+    /// The later of the last read and the last reply written, by any
+    /// thread: what the idle reaper measures from.
+    fn last_activity(&self) -> Instant {
+        let last_write = lock_unpoisoned(&self.outbox.state).last_write;
+        last_write.map_or(self.last_read, |at| at.max(self.last_read))
     }
 }
 
-/// Verdict on a connection after handling one of its events.
-enum ConnState {
-    Keep,
-    Close,
+/// Dropping a connection closes its outbox: workers still computing its
+/// replies find it closed and drop them. So leaving the table, and the
+/// I/O thread's exit (drain done or deadline passed), cut clients off.
+impl Drop for Conn {
+    fn drop(&mut self) {
+        Outbox::close(&self.outbox.stream, &mut lock_unpoisoned(&self.outbox.state));
+    }
 }
 
 /// Runs the readiness loop until shutdown completes its drain (or
-/// `abort` cuts it short). Owns the listener, every connection, and
-/// the epoll instance; returns only at shutdown or on a fatal epoll
-/// error (socket-level errors only ever kill their own connection).
+/// `abort` cuts it short). Owns the listener, every connection's read
+/// side, and the epoll instance; returns only at shutdown or on a fatal
+/// epoll error (socket-level errors only ever kill their own
+/// connection). Either way every connection closes on the way out.
 pub(crate) fn run(listener: &TcpListener, shared: &Shared) -> io::Result<()> {
     let ep = Epoll::new()?;
     listener.set_nonblocking(true)?;
     ep.add(listener.as_raw_fd(), LISTENER_TOKEN, sys::EPOLLIN)?;
-    let notifier = &shared.notifier;
-    ep.add(notifier.wake_rx.as_raw_fd(), WAKE_TOKEN, sys::EPOLLIN | sys::EPOLLET)?;
 
     let mut conns: HashMap<u64, Conn> = HashMap::new();
     let mut next_token = FIRST_CONN_TOKEN;
@@ -281,38 +351,13 @@ pub(crate) fn run(listener: &TcpListener, shared: &Shared) -> io::Result<()> {
         for ev in &events[..n] {
             // Copy out of the packed struct before touching the fields.
             let (mask, token) = { (ev.events, ev.data) };
-            match token {
-                LISTENER_TOKEN => {
-                    accept_ready(listener, &ep, shared, &mut conns, &mut next_token, shutting_down);
-                }
-                WAKE_TOKEN => {
-                    for token in notifier.take_dirty() {
-                        let Some(conn) = conns.get_mut(&token) else { continue };
-                        if matches!(flush(conn, shared), ConnState::Close) {
-                            close_conn(&ep, &mut conns, token);
-                        }
-                    }
-                }
-                token => {
-                    let Some(conn) = conns.get_mut(&token) else { continue };
-                    let mut state = ConnState::Keep;
-                    if mask & (sys::EPOLLERR | sys::EPOLLHUP) != 0 {
-                        state = ConnState::Close;
-                    } else {
-                        if mask & sys::EPOLLRDHUP != 0 {
-                            conn.peer_closed = true;
-                        }
-                        if mask & sys::EPOLLIN != 0 && !shutting_down {
-                            state = read_ready(conn, token, shared);
-                        }
-                        if matches!(state, ConnState::Keep) && mask & sys::EPOLLOUT != 0 {
-                            state = flush(conn, shared);
-                        }
-                    }
-                    if matches!(state, ConnState::Close) {
-                        close_conn(&ep, &mut conns, token);
-                    }
-                }
+            if token == LISTENER_TOKEN {
+                accept_ready(listener, &ep, shared, &mut conns, &mut next_token, shutting_down);
+                continue;
+            }
+            let Some(conn) = conns.get_mut(&token) else { continue };
+            if conn_ready(conn, mask, shutting_down, shared) {
+                close_conn(&ep, &mut conns, token);
             }
         }
 
@@ -322,7 +367,7 @@ pub(crate) fn run(listener: &TcpListener, shared: &Shared) -> io::Result<()> {
             let timeout = shared.config.read_timeout;
             let idle: Vec<u64> = conns
                 .iter()
-                .filter(|(_, c)| c.last_activity.elapsed() >= timeout)
+                .filter(|(_, c)| c.last_activity().elapsed() >= timeout)
                 .map(|(&t, _)| t)
                 .collect();
             for token in idle {
@@ -332,23 +377,15 @@ pub(crate) fn run(listener: &TcpListener, shared: &Shared) -> io::Result<()> {
         }
 
         if shutting_down {
-            // Drain: no new reads or accepts; keep flushing responses
-            // for already-accepted work until everything owed is out,
-            // the drain deadline expires, or shutdown aborts.
+            // Drain: no new reads or accepts; workers keep writing the
+            // replies to already-accepted work until everything owed is
+            // out, the drain deadline expires, or shutdown aborts.
+            // Returning drops `conns`, which closes every outbox.
             let since = *draining_since.get_or_insert_with(Instant::now);
             let everything_out = shared.queue.len() == 0 && conns.values().all(Conn::flushed);
             let expired = since.elapsed() >= shared.config.drain_deadline;
             if everything_out || expired || shared.abort.load(Ordering::SeqCst) {
                 return Ok(());
-            }
-            // Late completions may have filled slots without an event
-            // in this iteration's batch; opportunistically flush.
-            for token in notifier.take_dirty() {
-                if let Some(conn) = conns.get_mut(&token) {
-                    if matches!(flush(conn, shared), ConnState::Close) {
-                        close_conn(&ep, &mut conns, token);
-                    }
-                }
             }
         }
     }
@@ -380,7 +417,14 @@ fn accept_ready(
                 *next_token += 1;
                 let interest = sys::EPOLLIN | sys::EPOLLOUT | sys::EPOLLRDHUP | sys::EPOLLET;
                 if ep.add(stream.as_raw_fd(), token, interest).is_ok() {
-                    conns.insert(token, Conn::new(stream, shared.config.max_line_bytes));
+                    let conn = Conn {
+                        outbox: Arc::new(Outbox { stream, state: Mutex::default() }),
+                        framer: LineFramer::new(shared.config.max_line_bytes),
+                        reserved: 0,
+                        last_read: Instant::now(),
+                        peer_closed: false,
+                    };
+                    conns.insert(token, conn);
                 }
             }
             Err(e) if e.kind() == io::ErrorKind::WouldBlock => return,
@@ -404,14 +448,35 @@ fn refuse_connection(stream: &TcpStream, shared: &Shared) {
     shared.engine.note_rejection(RobustnessEvent::Overloaded, refused.elapsed());
 }
 
+/// Handles one readiness event on a connection. It flushes before it
+/// reads, which also waits out a worker still holding the outbox: a
+/// worker publishes a reply's trace before letting go, so a request the
+/// client sends after reading that reply (say, `trace`) sees it. True
+/// when the connection must close.
+fn conn_ready(conn: &mut Conn, mask: u32, shutting_down: bool, shared: &Shared) -> bool {
+    // `EPOLLHUP` is also how a worker's `shutdown` reaches this thread.
+    if mask & (sys::EPOLLERR | sys::EPOLLHUP) != 0 || conn.flush(shared) {
+        return true;
+    }
+    let was_open = !conn.peer_closed;
+    if mask & sys::EPOLLIN != 0 && !shutting_down && read_ready(conn, shared) {
+        return true;
+    }
+    conn.peer_closed |= mask & sys::EPOLLRDHUP != 0;
+    // Every request is read: record what the peer is owed, and close at
+    // once if that is nothing.
+    was_open && conn.peer_closed && conn.flush(shared)
+}
+
 /// Drains the socket (edge-triggered contract), frames complete lines,
-/// and enqueues them on the worker pool.
-fn read_ready(conn: &mut Conn, token: u64, shared: &Shared) -> ConnState {
-    conn.last_activity = Instant::now();
+/// and enqueues them on the worker pool; an oversized line is answered
+/// `request_too_large` in its place. True when the connection must close.
+fn read_ready(conn: &mut Conn, shared: &Shared) -> bool {
+    conn.last_read = Instant::now();
     let mut chunk = [0u8; 16 * 1024];
     let mut eof = false;
     loop {
-        match (&mut &conn.stream).read(&mut chunk) {
+        match (&conn.outbox.stream).read(&mut chunk) {
             Ok(0) => {
                 conn.peer_closed = true;
                 eof = true;
@@ -420,37 +485,35 @@ fn read_ready(conn: &mut Conn, token: u64, shared: &Shared) -> ConnState {
             Ok(n) => conn.framer.extend(&chunk[..n]),
             Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
             Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(_) => return ConnState::Close,
+            Err(_) => return true,
         }
     }
     while let Some(frame) = conn.framer.next_frame(eof) {
         match frame {
-            Frame::Line(line) => {
-                if matches!(dispatch_line(conn, token, line, shared), ConnState::Close) {
-                    return ConnState::Close;
-                }
+            Frame::Line(line) if line.trim().is_empty() => {}
+            // Injected fault: vanish mid-conversation, exactly like a
+            // crashed client-side proxy would.
+            Frame::Line(_) if shared.config.faults.as_ref().is_some_and(|p| p.take_drop()) => {
+                return true;
             }
-            Frame::TooLong => answer_too_large(conn, shared),
+            Frame::Line(line) => dispatch_line(conn, line, shared),
+            Frame::TooLong => {
+                let rejected = Instant::now();
+                let seq = conn.reserve();
+                let answer = too_large_line(shared.config.max_line_bytes);
+                conn.outbox.deliver(seq, answer, None, shared.engine.telemetry());
+                shared.engine.note_rejection(RobustnessEvent::RequestTooLarge, rejected.elapsed());
+            }
         }
     }
-    // EOF still owes the client every response already in flight.
-    flush(conn, shared)
+    false
 }
 
-/// Queues one framed line on the worker pool (or answers the shed /
-/// fault-injection outcome in place).
-fn dispatch_line(conn: &mut Conn, token: u64, line: String, shared: &Shared) -> ConnState {
-    if line.trim().is_empty() {
-        return ConnState::Keep;
-    }
-    if shared.config.faults.as_ref().is_some_and(|plan| plan.take_drop()) {
-        // Injected fault: vanish mid-conversation, exactly like a
-        // crashed client-side proxy would.
-        return ConnState::Close;
-    }
-    let slot = Arc::new(ReplySlot::default());
-    conn.pending.push_back(Arc::clone(&slot));
-    let job = Job { line, accepted: Instant::now(), slot, token };
+/// Queues one framed line on the worker pool, or answers `overloaded` in
+/// its place when the queue is full.
+fn dispatch_line(conn: &mut Conn, line: String, shared: &Shared) {
+    let seq = conn.reserve();
+    let job = Job { line, accepted: Instant::now(), outbox: Arc::clone(&conn.outbox), seq };
     if let Err(job) = shared.queue.try_push(job) {
         let err = WireError::new(
             ErrorCode::Overloaded,
@@ -460,73 +523,15 @@ fn dispatch_line(conn: &mut Conn, token: u64, line: String, shared: &Shared) -> 
             ),
         )
         .with_retry_after(shared.config.retry_after_ms);
-        job.slot.fill(protocol::err_line(&protocol::recover_id(&job.line), &err), None);
+        let answer = protocol::err_line(&protocol::recover_id(&job.line), &err);
+        job.outbox.deliver(job.seq, answer, None, shared.engine.telemetry());
         shared.engine.note_rejection(RobustnessEvent::Overloaded, job.accepted.elapsed());
     }
-    ConnState::Keep
 }
 
-/// Answers `request_too_large` on the connection's own FIFO.
-fn answer_too_large(conn: &mut Conn, shared: &Shared) {
-    let rejected = Instant::now();
-    let slot = ReplySlot::default();
-    slot.fill(too_large_line(shared.config.max_line_bytes), None);
-    conn.pending.push_back(Arc::new(slot));
-    shared.engine.note_rejection(RobustnessEvent::RequestTooLarge, rejected.elapsed());
-}
-
-/// Moves completed replies (front of the FIFO only — order is the
-/// contract) into the write buffer and writes until the socket would
-/// block. Closing happens when the peer is gone and nothing is owed,
-/// when the write buffer outgrows its bound, or on a socket error.
-fn flush(conn: &mut Conn, shared: &Shared) -> ConnState {
-    while let Some(front) = conn.pending.front() {
-        let Some((response, trace)) = front.take() else { break };
-        conn.pending.pop_front();
-        conn.write_buf.extend_from_slice(response.as_bytes());
-        conn.write_buf.push(b'\n');
-        if let Some(tb) = trace {
-            conn.trace_marks.push_back((conn.write_buf.len(), tb));
-        }
-    }
-    while conn.written < conn.write_buf.len() {
-        match (&mut &conn.stream).write(&conn.write_buf[conn.written..]) {
-            Ok(0) => return ConnState::Close,
-            Ok(n) => {
-                conn.written += n;
-                conn.last_activity = Instant::now();
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(_) => return ConnState::Close,
-        }
-    }
-    // Every response whose last byte the kernel has taken closes its
-    // `reply_flush` span here — a trace's total therefore covers the
-    // request's whole life, accept to socket hand-off.
-    while conn.trace_marks.front().is_some_and(|(end, _)| *end <= conn.written) {
-        let (_, tb) = conn.trace_marks.pop_front().expect("front exists");
-        shared.engine.telemetry().finish(*tb);
-    }
-    if conn.written == conn.write_buf.len() {
-        conn.write_buf.clear();
-        conn.written = 0;
-    } else if conn.write_buf.len() - conn.written > WRITE_BUF_CAP {
-        // The slow-client bound: stop holding megabytes for a reader
-        // that stopped reading.
-        return ConnState::Close;
-    }
-    if conn.peer_closed && conn.flushed() {
-        return ConnState::Close;
-    }
-    ConnState::Keep
-}
-
-/// Deregisters and drops one connection; its socket closes with it.
-/// Replies still being computed for it land in slots nobody reads and
-/// are freed when the worker drops its `Arc`.
+/// Deregisters and drops one connection, which closes its outbox.
 fn close_conn(ep: &Epoll, conns: &mut HashMap<u64, Conn>, token: u64) {
     if let Some(conn) = conns.remove(&token) {
-        ep.del(conn.stream.as_raw_fd());
+        ep.del(conn.outbox.stream.as_raw_fd());
     }
 }

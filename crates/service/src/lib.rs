@@ -25,7 +25,7 @@
 //!   including the full version history behind time-travel `eval`
 //!   ([`wal`], [`snapshot`], [`Engine::open`]).
 //! - **Wire protocol** — newline-delimited JSON over a localhost TCP
-//!   listener, served by one readiness-driven `epoll` I/O thread, or
+//!   listener (one `epoll` I/O thread reads, workers write replies) or
 //!   over stdin/stdout, with stable machine-readable error codes
 //!   ([`protocol`]).
 //! - **Worker pool** — requests are claimed dynamically by a pool of

@@ -6,9 +6,9 @@
 //! engine: work sits in one shared queue and idle workers claim the
 //! next item the moment they free up, so a long `mc` on one worker
 //! never blocks a stream of cheap `eval`s on the others. Response order
-//! is still per-connection FIFO — the `epoll` I/O thread keeps each
-//! connection's reply slots in arrival order and flushes them in that
-//! order no matter which finishes first.
+//! is still per-connection FIFO — each connection's outbox files replies
+//! by request position, and the worker that completes the front writes
+//! them out in that order no matter which finishes first.
 //!
 //! The fault-tolerance layer (DESIGN §11) has four parts:
 //!
@@ -42,7 +42,7 @@
 //! simple enough that a framework would be all ceremony.
 
 use crate::engine::Engine;
-use crate::epoll::{Notifier, ReplySlot};
+use crate::epoll::Outbox;
 use crate::faults::FaultPlan;
 use crate::lock_unpoisoned;
 use crate::protocol::{self, ErrorCode, Request, Response, WireError};
@@ -104,13 +104,13 @@ impl Default for ServerConfig {
 }
 
 /// One unit of work: a raw request line, its arrival instant (the
-/// deadline epoch), and the reply slot and connection token its answer
+/// deadline epoch), and the connection outbox and position its answer
 /// goes to.
 pub(crate) struct Job {
     pub(crate) line: String,
     pub(crate) accepted: Instant,
-    pub(crate) slot: Arc<ReplySlot>,
-    pub(crate) token: u64,
+    pub(crate) outbox: Arc<Outbox>,
+    pub(crate) seq: u64,
 }
 
 /// Bounded shared job queue with condvar wakeup; workers claim
@@ -131,7 +131,7 @@ impl JobQueue {
     }
 
     /// Enqueues unless the queue is at capacity; the rejected job comes
-    /// back so the caller can answer `overloaded` on its reply slot.
+    /// back so the caller can answer `overloaded` in its place.
     pub(crate) fn try_push(&self, job: Job) -> Result<(), Job> {
         {
             let mut jobs = lock_unpoisoned(&self.jobs);
@@ -177,8 +177,6 @@ impl JobQueue {
 pub(crate) struct Shared {
     pub(crate) engine: Arc<Engine>,
     pub(crate) queue: JobQueue,
-    /// Wakes the I/O thread when a worker fills a reply slot.
-    pub(crate) notifier: Notifier,
     pub(crate) shutdown: AtomicBool,
     pub(crate) abort: AtomicBool,
     pub(crate) config: ServerConfig,
@@ -228,8 +226,7 @@ impl Server {
     ///
     /// # Errors
     ///
-    /// [`std::io::Error`] when the address cannot be bound or the I/O
-    /// thread's wakeup socketpair cannot be created.
+    /// [`std::io::Error`] when the address cannot be bound.
     pub fn start(
         engine: Arc<Engine>,
         addr: impl ToSocketAddrs,
@@ -242,7 +239,6 @@ impl Server {
         let shared = Arc::new(Shared {
             engine,
             queue: JobQueue::new(config.queue_capacity),
-            notifier: Notifier::new()?,
             shutdown: AtomicBool::new(false),
             abort: AtomicBool::new(false),
             config,
@@ -343,9 +339,8 @@ fn worker_loop(shared: &Shared) -> WorkerExit {
         if outcome.shutdown {
             shared.begin_shutdown();
         }
-        // A slot nobody reads means the client hung up; fine.
-        job.slot.fill(outcome.response, outcome.trace);
-        shared.notifier.notify(job.token);
+        // A closed outbox means the client hung up; the reply drops.
+        job.outbox.deliver(job.seq, outcome.response, outcome.trace, shared.engine.telemetry());
         if outcome.panicked {
             // The response went out, but this worker's stack just
             // unwound through arbitrary engine code — retire it and let
