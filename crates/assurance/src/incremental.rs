@@ -255,6 +255,13 @@ impl Incremental {
         self.ir.case_hash()
     }
 
+    /// The last edit's dirty spine: the edited node (or retargeted
+    /// parent) and its ancestors, as node indices, children first.
+    #[must_use]
+    pub fn spine(&self) -> &[u32] {
+        &self.spine.nodes
+    }
+
     /// Cumulative recompute/reuse counters since the session started
     /// (including the initial full propagation).
     #[must_use]

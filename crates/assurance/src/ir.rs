@@ -404,7 +404,8 @@ impl CaseIr {
 #[derive(Debug, Clone, Default)]
 pub(crate) struct Spine {
     frontier: BinaryHeap<Reverse<u32>>,
-    nodes: Vec<u32>,
+    /// The spine the last walk found.
+    pub(crate) nodes: Vec<u32>,
 }
 
 #[cfg(test)]

@@ -20,15 +20,23 @@
 //!
 //! # Wide sampling
 //!
-//! Within a chunk, samples are evaluated **64 at a time**: every node
-//! holds a 64-bit lane mask instead of one `bool`, leaf draws set one
-//! bit per sample through an integer-threshold compare, the structure
-//! pass runs bitwise AND/OR over whole masks, and hits are counted with
-//! one popcount per target per group. The RNG stream is consumed in
-//! exactly the scalar order and every compare is exactly equivalent to
-//! the scalar `f64` compare, so the wide engine is bit-identical to the
-//! scalar reference ([`MonteCarlo::run_sequential`]) — the tests pin
-//! this across group-boundary sample counts.
+//! Samples are evaluated **64 at a time in eight lanes**: every node
+//! holds a 64-bit mask per lane instead of one `bool`, leaf draws set
+//! one bit per sample through an integer-threshold compare, the
+//! structure pass runs bitwise AND/OR over whole masks, and hits are
+//! counted with one popcount per target per lane. Each lane has its own
+//! xoshiro256++ state and the eight are stepped struct-of-arrays, so
+//! the draw loop vectorizes instead of waiting on one serial chain.
+//!
+//! A claim of eight full chunks gives each lane one whole chunk's
+//! stream. Any other chunk is cut into eight contiguous ranges of
+//! `m = 64·⌈n/512⌉` samples, and lane `k` starts `k·m·leaves` steps
+//! into the chunk's stream, reached by GF(2) jump-ahead
+//! ([`StdRng::jump`]). Either way every lane draws exactly the variates
+//! the serial stream draws for its samples, and every compare equals
+//! the scalar `f64` compare, so the engine is bit-identical to the
+//! scalar reference ([`MonteCarlo::run_sequential`]) chunk by chunk —
+//! the tests pin this across group and chunk boundaries.
 //!
 //! # Plan reuse
 //!
@@ -116,64 +124,72 @@ fn run_samples(plan: &EvalPlan, count: u32, rng: &mut dyn RngCore, hits: &mut [u
     }
 }
 
-/// Runs `count` structure samples 64 at a time: each structure pass
-/// evaluates a 64-sample lane mask per node and hits are counted with
-/// one popcount per target per group. Takes a concrete [`StdRng`] so
-/// the draw loop monomorphizes (no per-draw virtual dispatch — the
-/// dominant cost of the scalar path).
-///
-/// Bit-identical to [`run_samples`] from the same RNG state: the wide
-/// sampler consumes the stream in the same order and compares each
-/// variate through an exactly-equivalent integer threshold (see
-/// [`EvalPlan::sample_leaves_wide`]), and the structure pass is the
-/// same Boolean circuit evaluated lane-wise. Tail groups mask the
-/// unused high lanes out of the popcount.
-fn run_samples_wide(plan: &EvalPlan, count: u32, rng: &mut StdRng, hits: &mut [u64]) {
-    let mut lanes = plan.new_lanes();
-    let mut done = 0u32;
-    while done < count {
-        let group = (count - done).min(64);
-        plan.sample_leaves_wide(rng, &mut lanes, group);
-        plan.eval_structure_wide(&mut lanes);
-        let valid = if group == 64 { !0u64 } else { (1u64 << group) - 1 };
+/// Lanes, each with its own RNG stream, that one wide pass steps at
+/// once. Eight fill an AVX2 register file without spilling and split
+/// evenly across AVX-512 registers.
+const INTERLEAVE: usize = 8;
+
+// Lanes step whole 64-sample groups, and a chunk splits into at most
+// eight groups per lane.
+const _: () = assert!(CHUNK_SAMPLES.is_multiple_of(64) && CHUNK_SAMPLES <= 64 * 64);
+
+/// Runs lane `k` through `counts[k]` samples of the stream that starts
+/// at `starts[k]`, 64 at a time, adding every lane's hits into `hits`
+/// (integer sums: exact and commutative). Lanes draw whole groups;
+/// samples past a lane's count are masked out of the popcount.
+fn run_lanes(
+    plan: &EvalPlan,
+    starts: [StdRng; INTERLEAVE],
+    counts: [u32; INTERLEAVE],
+    hits: &mut [u64],
+) {
+    let mut rngs = WideStdRng::from_states(starts);
+    let mut masks = vec![0; plan.slot_count() * INTERLEAVE];
+    let mut scratch = vec![0; plan.leaf_count() * INTERLEAVE];
+    for g in 0..counts.iter().max().map_or(0, |n| n.div_ceil(64)) {
+        plan.sample_leaves_wide_x(&mut rngs, &mut scratch, &mut masks);
+        plan.eval_structure_wide_x::<INTERLEAVE>(&mut masks);
+        let valid = counts.map(|n| match n.saturating_sub(64 * g) {
+            0 => 0,
+            left => !0u64 >> 64u32.saturating_sub(left),
+        });
         for (h, &(_, slot)) in hits.iter_mut().zip(plan.targets()) {
-            *h += u64::from((lanes[slot as usize] & valid).count_ones());
+            let lanes = &masks[slot as usize * INTERLEAVE..][..INTERLEAVE];
+            for (mask, valid) in lanes.iter().zip(valid) {
+                *h += u64::from((mask & valid).count_ones());
+            }
         }
-        done += group;
     }
 }
 
-/// Full chunks a worker fuses per claim. Chunk streams are independent
-/// by construction, so a struct-of-arrays [`WideStdRng`] can step all
-/// of them element-wise and the draw loop vectorizes to the target's
-/// SIMD width — the single-stream wide sampler is limited by one
-/// xoshiro chain's serial latency instead. Purely a scheduling choice:
-/// each stream still sees its own draws in scalar order, so the hit
-/// counts are unchanged. Eight streams fill an AVX2 register file
-/// without spilling and split evenly across AVX-512 registers.
-const INTERLEAVE: usize = 8;
-
-// The interleaved runner steps whole 64-sample groups through a chunk.
-const _: () = assert!(CHUNK_SAMPLES.is_multiple_of(64));
-
-/// Runs [`INTERLEAVE`] *full* chunks ([`CHUNK_SAMPLES`] each) through
-/// the wide sampler simultaneously, one independent RNG stream per
-/// chunk, accumulating all hits into the shared integer totals (exact
-/// and commutative, so sharing the accumulator is safe).
-fn run_chunks_interleaved(plan: &EvalPlan, rngs: &mut WideStdRng<INTERLEAVE>, hits: &mut [u64]) {
-    let mut lanes = vec![0u64; plan.slot_count() * INTERLEAVE];
-    let mut scratch = vec![0u64; plan.leaf_count() * INTERLEAVE];
-    let mut done = 0u32;
-    while done < CHUNK_SAMPLES {
-        plan.sample_leaves_wide_x(rngs, &mut scratch, &mut lanes, 64);
-        plan.eval_structure_wide_x::<INTERLEAVE>(&mut lanes);
-        for (h, &(_, slot)) in hits.iter_mut().zip(plan.targets()) {
-            let base = slot as usize * INTERLEAVE;
-            for lane in &lanes[base..base + INTERLEAVE] {
-                *h += u64::from(lane.count_ones());
+/// Runs chunks `c0..c0 + take` of a `samples`-sample run: a claim of
+/// [`INTERLEAVE`] full chunks runs one chunk per lane; otherwise each
+/// chunk in turn is cut into eight ranges of `m` samples, lane `k`
+/// jumping `k·m·leaves` steps into the chunk's stream (module docs).
+fn run_claim(
+    plan: &EvalPlan,
+    (samples, seed): (u32, u64),
+    (c0, take): (u32, u32),
+    hits: &mut [u64],
+) {
+    let stream = |c: u32| StdRng::seed_from_u64(chunk_seed(seed, u64::from(c)));
+    if take == INTERLEAVE as u32 && chunk_len(samples, c0 + take - 1) == CHUNK_SAMPLES {
+        let starts = std::array::from_fn(|k| stream(c0 + k as u32));
+        return run_lanes(plan, starts, [CHUNK_SAMPLES; INTERLEAVE], hits);
+    }
+    for c in c0..c0 + take {
+        let n = chunk_len(samples, c);
+        let groups = n.div_ceil(64 * INTERLEAVE as u32);
+        let (m, jump, mut rng) = (64 * groups, plan.lane_jump(groups), stream(c));
+        let starts = std::array::from_fn(|k| {
+            let start = rng.clone();
+            if (k as u32 + 1) * m < n {
+                rng.jump(jump);
             }
-        }
-        done += 64;
+            start
+        });
+        let counts = std::array::from_fn(|k| n.saturating_sub(k as u32 * m).min(m));
+        run_lanes(plan, starts, counts, hits);
     }
 }
 
@@ -287,7 +303,8 @@ impl<'p> MonteCarlo<'p> {
     /// [`CaseError::InvalidStructure`] for a zero sample budget.
     pub fn run_plan(&self, plan: &EvalPlan) -> Result<MonteCarloReport> {
         check_samples(self.samples)?;
-        Ok(run_parallel(plan, self.samples, self.seed, self.threads))
+        let report = run_parallel_until(plan, self.samples, self.seed, self.threads, &|| false);
+        Ok(report.expect("a never-stopping run always completes"))
     }
 
     /// [`MonteCarlo::run_plan`] with an `mc_sample_loop` phase (the
@@ -311,11 +328,12 @@ impl<'p> MonteCarlo<'p> {
         Ok(report)
     }
 
-    /// Like [`MonteCarlo::run_plan`], but polls `should_stop` between
-    /// chunk claims (at most 8×[`CHUNK_SAMPLES`] structure
-    /// evaluations per worker) and abandons the run when it answers `true` — the hook
-    /// for per-request deadlines, which would otherwise overshoot by
-    /// the full sampling time. `Ok(None)` means the run was stopped;
+    /// Like [`MonteCarlo::run_plan`], but polls `should_stop` before
+    /// each worker's chunk claims — at most one claim, eight chunks or
+    /// 8×[`CHUNK_SAMPLES`] structure evaluations, runs between polls —
+    /// and abandons the run when it answers `true`: the hook for
+    /// per-request deadlines, which would otherwise overshoot by the
+    /// full sampling time. `Ok(None)` means the run was stopped;
     /// there is no partial report, so a completed run stays
     /// bit-identical to [`MonteCarlo::run_plan`] at any thread count.
     ///
@@ -409,22 +427,14 @@ fn chunk_len(samples: u32, chunk: u32) -> u32 {
     (samples - start).min(CHUNK_SAMPLES)
 }
 
-/// The chunked deterministic engine body shared by every parallel entry
-/// point: `samples` structure evaluations across `threads` workers,
-/// bit-identically reproducible for a fixed `seed` at **any** thread
-/// count (see the module docs for the chunked seeding scheme).
-///
-/// `threads == 0` selects [`std::thread::available_parallelism`].
-fn run_parallel(plan: &EvalPlan, samples: u32, seed: u64, threads: usize) -> MonteCarloReport {
-    run_parallel_until(plan, samples, seed, threads, &|| false)
-        .expect("a never-stopping run always completes")
-}
-
-/// [`run_parallel`] with a stop hook: every worker polls `should_stop`
-/// before claiming its next chunks and the whole run is abandoned (→
-/// `None`) as soon as any worker sees `true`, so the latency of honoring
-/// a stop is bounded by one claim's sampling time (at most
-/// [`INTERLEAVE`] chunks) per worker.
+/// The chunked deterministic engine behind every parallel entry point:
+/// `samples` structure evaluations across `threads` workers (`0` =
+/// [`std::thread::available_parallelism`]), bit-identical for a fixed
+/// `seed` at **any** thread count (module docs). Every worker polls
+/// `should_stop` before claiming its next chunks and the whole run is
+/// abandoned (→ `None`) as soon as any worker sees `true`, so honoring a
+/// stop waits for at most one claim ([`INTERLEAVE`] chunks) per worker.
+/// A run that needs one worker runs on the calling thread.
 fn run_parallel_until(
     plan: &EvalPlan,
     samples: u32,
@@ -441,63 +451,40 @@ fn run_parallel_until(
     .min(chunks as usize)
     .max(1);
 
-    let targets = plan.targets().len();
     let next_chunk = AtomicUsize::new(0);
     let stopped = AtomicBool::new(false);
-    let plan_ref = plan;
-    let next_ref = &next_chunk;
-    let stopped_ref = &stopped;
-
     // Each worker claims chunks dynamically and keeps private per-target
     // hit totals; integer addition is exact and commutative, so the
     // merged counts are independent of the chunk→worker assignment.
-    let totals: Vec<Vec<u64>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|_| {
-                scope.spawn(move || {
-                    let mut local = vec![0u64; targets];
-                    loop {
-                        if stopped_ref.load(Ordering::Relaxed) || should_stop() {
-                            stopped_ref.store(true, Ordering::Relaxed);
-                            break;
-                        }
-                        let c0 = next_ref.fetch_add(INTERLEAVE, Ordering::Relaxed) as u32;
-                        if c0 >= chunks {
-                            break;
-                        }
-                        let take = (chunks - c0).min(INTERLEAVE as u32);
-                        if take == INTERLEAVE as u32
-                            && chunk_len(samples, c0 + take - 1) == CHUNK_SAMPLES
-                        {
-                            // A full claim of full chunks: fuse their
-                            // independent streams into one SIMD pass.
-                            let seeds: [u64; INTERLEAVE] =
-                                std::array::from_fn(|k| chunk_seed(seed, u64::from(c0) + k as u64));
-                            let mut rngs = WideStdRng::from_seeds(seeds);
-                            run_chunks_interleaved(plan_ref, &mut rngs, &mut local);
-                        } else {
-                            for c in c0..c0 + take {
-                                let mut rng = StdRng::seed_from_u64(chunk_seed(seed, u64::from(c)));
-                                run_samples_wide(
-                                    plan_ref,
-                                    chunk_len(samples, c),
-                                    &mut rng,
-                                    &mut local,
-                                );
-                            }
-                        }
-                    }
-                    local
-                })
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().expect("worker panicked")).collect()
-    });
+    let work = || {
+        let mut hits = vec![0u64; plan.targets().len()];
+        loop {
+            if stopped.load(Ordering::Relaxed) || should_stop() {
+                stopped.store(true, Ordering::Relaxed);
+                break;
+            }
+            let c0 = next_chunk.fetch_add(INTERLEAVE, Ordering::Relaxed) as u32;
+            if c0 >= chunks {
+                break;
+            }
+            let take = (chunks - c0).min(INTERLEAVE as u32);
+            run_claim(plan, (samples, seed), (c0, take), &mut hits);
+        }
+        hits
+    };
+    let totals: Vec<Vec<u64>> = if threads == 1 {
+        vec![work()]
+    } else {
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..threads).map(|_| scope.spawn(work)).collect();
+            handles.into_iter().map(|h| h.join().expect("worker panicked")).collect()
+        })
+    };
 
     if stopped.load(Ordering::Relaxed) {
         return None;
     }
-    let mut hits = vec![0u64; targets];
+    let mut hits = vec![0u64; plan.targets().len()];
     for local in &totals {
         for (h, l) in hits.iter_mut().zip(local) {
             *h += l;
@@ -714,14 +701,17 @@ mod tests {
     #[test]
     fn wide_hits_are_bit_identical_to_scalar_hits() {
         let plan = EvalPlan::compile(&gnarly_case()).unwrap();
-        // Counts straddling every group boundary: sub-group, exact
-        // groups, one-over, multi-group with tail, and a full chunk.
-        for count in [1u32, 37, 63, 64, 65, 130, 1000, CHUNK_SAMPLES] {
+        // One chunk of each count, cut across the lanes: sub-group,
+        // exact groups, one-over, multi-group with tail, every lane
+        // range length, and a full chunk.
+        let counts = [1u32, 37, 63, 64, 65, 130, 513, 1000, 3000, CHUNK_SAMPLES - 1, CHUNK_SAMPLES];
+        for count in counts {
             for seed in [0u64, 7, 42] {
                 let mut scalar = vec![0u64; plan.targets().len()];
-                run_samples(&plan, count, &mut rng(seed), &mut scalar);
+                let mut stream = StdRng::seed_from_u64(chunk_seed(seed, 0));
+                run_samples(&plan, count, &mut stream, &mut scalar);
                 let mut wide = vec![0u64; plan.targets().len()];
-                run_samples_wide(&plan, count, &mut rng(seed), &mut wide);
+                run_claim(&plan, (count, seed), (0, 1), &mut wide);
                 assert_eq!(scalar, wide, "count {count}, seed {seed}");
             }
         }
@@ -729,14 +719,75 @@ mod tests {
 
     #[test]
     fn wide_engine_leaves_the_rng_at_the_scalar_stream_position() {
-        // Equal draw consumption is what keeps every chunk's stream
-        // aligned no matter which engine ran it.
+        // A lane's jumped start is where the scalar stream stands after
+        // the lanes before it: equal draw consumption is what keeps
+        // every range of a chunk's stream aligned.
         let plan = EvalPlan::compile(&gnarly_case()).unwrap();
-        let mut a = rng(3);
-        let mut b = rng(3);
-        run_samples(&plan, 130, &mut a, &mut vec![0u64; plan.targets().len()]);
-        run_samples_wide(&plan, 130, &mut b, &mut vec![0u64; plan.targets().len()]);
-        assert_eq!(a.next_u64(), b.next_u64());
+        for groups in 1..=8u32 {
+            let mut a = rng(3);
+            let mut b = rng(3);
+            run_samples(&plan, 64 * groups, &mut a, &mut vec![0u64; plan.targets().len()]);
+            b.jump(plan.lane_jump(groups));
+            assert_eq!(a.next_u64(), b.next_u64(), "{groups} groups");
+        }
+    }
+
+    /// A random tree grown from `genes`: each gene hangs a goal, an
+    /// AnyOf or AllOf strategy, an assumption or an evidence leaf (with
+    /// a confidence from 0 to 1) under an earlier goal or strategy, and
+    /// every goal or strategy left without support gets one evidence.
+    fn random_case(genes: &[u64]) -> Case {
+        let mut case = Case::new("random");
+        let mut inner = vec![case.add_goal("G", "top").unwrap()];
+        for (i, &gene) in genes.iter().enumerate() {
+            let parent = inner[(gene % inner.len() as u64) as usize];
+            let (name, confidence) = (format!("N{i}"), (gene >> 8 & 0xff) as f64 / 255.0);
+            let id = match gene >> 16 & 7 {
+                0 => case.add_goal(name, "g"),
+                1 => case.add_strategy(name, "s", Combination::AnyOf),
+                2 => case.add_strategy(name, "s", Combination::AllOf),
+                3 => case.add_assumption(name, "a", confidence),
+                _ => case.add_evidence(name, "e", confidence),
+            }
+            .unwrap();
+            case.support(parent, id).unwrap();
+            if gene >> 16 & 7 < 3 {
+                inner.push(id);
+            }
+        }
+        for (i, &node) in inner.iter().enumerate() {
+            if case.supporters(node).unwrap().is_empty() {
+                let e = case.add_evidence(format!("L{i}"), "e", 0.5).unwrap();
+                case.support(node, e).unwrap();
+            }
+        }
+        case
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(48))]
+        #[test]
+        fn lane_runner_matches_the_hand_chunked_scalar_reference(
+            genes in proptest::collection::vec(proptest::prelude::any::<u64>(), 1..40),
+            samples in 1u32..=3 * CHUNK_SAMPLES,
+            seed in proptest::prelude::any::<u64>(),
+            threads in 1usize..=3,
+        ) {
+            let plan = EvalPlan::compile(&random_case(&genes)).unwrap();
+            let mut hits = vec![0u64; plan.targets().len()];
+            for c in 0..samples.div_ceil(CHUNK_SAMPLES) {
+                let mut rng = StdRng::seed_from_u64(chunk_seed(seed, u64::from(c)));
+                run_samples(&plan, chunk_len(samples, c), &mut rng, &mut hits);
+            }
+            let reference = report_from_hits(&plan, &hits, samples);
+            let run = MonteCarlo::new(samples).seed(seed).threads(threads).run_plan(&plan).unwrap();
+            for &(id, _) in plan.targets() {
+                proptest::prop_assert_eq!(
+                    reference.estimate(id).unwrap().to_bits(),
+                    run.estimate(id).unwrap().to_bits()
+                );
+            }
+        }
     }
 
     #[test]

@@ -16,10 +16,10 @@ use crate::graph::{Case, Combination, NodeId};
 use crate::ir::{CaseIr, Fnv, IrKind};
 use crate::propagation::{ConfidenceReport, NodeConfidence};
 use crate::trace::Tracer;
-use rand::rngs::WideStdRng;
+use rand::rngs::{StdRng, WideStdRng};
 use rand::Rng;
 use rand::RngCore;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 /// 2⁵³ as an `f64` — the scale of the 53-bit uniform variate every
@@ -111,6 +111,20 @@ struct PlanShape {
     roots: Vec<u32>,
     /// Total slot count (= node count of the compiled case).
     slots: usize,
+    /// Lane jump polynomials by 64-sample group count, made on first
+    /// use (see [`EvalPlan::lane_jump`]).
+    jumps: LaneJumps,
+}
+
+/// `jumps[g - 1]` moves a chunk stream `g` sample groups ahead. Derived
+/// from the leaf count alone, so it takes no part in shape equality.
+#[derive(Debug, Default)]
+struct LaneJumps([OnceLock<[u64; 4]>; 8]);
+
+impl PartialEq for LaneJumps {
+    fn eq(&self, _: &Self) -> bool {
+        true
+    }
 }
 
 impl EvalPlan {
@@ -192,7 +206,14 @@ impl EvalPlan {
         let leaf_thresholds = leaf_confs.iter().map(|&c| bernoulli_threshold(c)).collect();
         let roots = ir.roots().to_vec();
         Self {
-            shape: Arc::new(PlanShape { steps, leaf_slots, targets, roots, slots: n }),
+            shape: Arc::new(PlanShape {
+                steps,
+                leaf_slots,
+                targets,
+                roots,
+                slots: n,
+                jumps: LaneJumps::default(),
+            }),
             leaf_confs,
             leaf_thresholds,
         }
@@ -224,6 +245,18 @@ impl EvalPlan {
     #[must_use]
     pub fn targets(&self) -> &[(NodeId, u32)] {
         &self.shape.targets
+    }
+
+    /// The polynomial that moves a chunk's stream `groups` 64-sample
+    /// groups ahead, `StdRng::jump_poly(groups · 64 · leaf_count)`:
+    /// made once per shape and group count, as it costs tens of µs.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `1 ≤ groups ≤ 8`.
+    pub(crate) fn lane_jump(&self, groups: u32) -> &[u64; 4] {
+        let steps = u64::from(groups) * 64 * self.leaf_count() as u64;
+        self.shape.jumps.0[groups as usize - 1].get_or_init(|| StdRng::jump_poly(steps))
     }
 
     /// Allocates a correctly sized evaluation buffer.
@@ -275,98 +308,21 @@ impl EvalPlan {
         self.eval_structure(buf);
     }
 
-    /// Allocates a correctly sized lane buffer for the wide evaluators
-    /// (one 64-sample bitmask per slot).
-    #[must_use]
-    pub fn new_lanes(&self) -> Vec<u64> {
-        vec![0u64; self.shape.slots]
-    }
-
-    /// Draws `group` (≤ 64) consecutive leaf samples into per-slot lane
-    /// masks: bit `s` of `lanes[slot]` is sample `s`'s outcome for the
-    /// leaf in `slot`. Bits `group..64` of every leaf lane are zero.
+    /// Draws 64 consecutive leaf samples from each of `K` RNG streams
+    /// at once into per-slot lane masks: bit `s` of
+    /// `lanes[slot * K + k]` is sample `s` of stream `k` for the leaf in
+    /// `slot`.
     ///
-    /// Consumes exactly `group × leaf_count` variates from `rng`, in the
-    /// same order as `group` consecutive [`EvalPlan::sample_leaves`]
-    /// calls (sample-major, leaves in slot order), so the wide and
-    /// scalar paths walk one shared RNG stream position for position.
-    /// Each draw compares the raw 53-bit variate against the leaf's
-    /// integer threshold — exactly equivalent to the scalar `f64`
-    /// compare (see [`bernoulli_threshold`]), so every sampled bit is
-    /// identical to the scalar path's.
-    ///
-    /// Generic over the RNG type so hot callers monomorphize the draw
-    /// loop (no per-draw virtual dispatch).
-    ///
-    /// # Panics
-    ///
-    /// Panics when `group > 64` or `lanes` is shorter than
-    /// [`EvalPlan::slot_count`].
-    pub fn sample_leaves_wide<R: RngCore + ?Sized>(
-        &self,
-        rng: &mut R,
-        lanes: &mut [u64],
-        group: u32,
-    ) {
-        assert!(group <= 64, "a lane group holds at most 64 samples");
-        for &slot in &self.shape.leaf_slots {
-            lanes[slot as usize] = 0;
-        }
-        for s in 0..group {
-            for (&slot, &threshold) in self.shape.leaf_slots.iter().zip(&self.leaf_thresholds) {
-                let hit = u64::from((rng.next_u64() >> 11) < threshold);
-                lanes[slot as usize] |= hit << s;
-            }
-        }
-    }
-
-    /// Evaluates every non-leaf node for all 64 lanes at once from the
-    /// leaf lanes already in `lanes` — the same linear pass as
-    /// [`EvalPlan::eval_structure`] with each `bool` op widened to a
-    /// bitwise op over the lane mask, so lane `s` of every slot equals
-    /// what the scalar pass would compute for sample `s`.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `lanes` is shorter than [`EvalPlan::slot_count`].
-    pub fn eval_structure_wide(&self, lanes: &mut [u64]) {
-        for step in &self.shape.steps {
-            match step {
-                Step::Constant { slot } => lanes[*slot as usize] = !0,
-                Step::Combine { slot, rule, support, assumptions } => {
-                    let support_ok = if support.is_empty() {
-                        !0
-                    } else {
-                        match rule {
-                            Combination::AllOf => {
-                                support.iter().fold(!0u64, |acc, &c| acc & lanes[c as usize])
-                            }
-                            Combination::AnyOf => {
-                                support.iter().fold(0u64, |acc, &c| acc | lanes[c as usize])
-                            }
-                        }
-                    };
-                    let assumptions_ok =
-                        assumptions.iter().fold(!0u64, |acc, &c| acc & lanes[c as usize]);
-                    lanes[*slot as usize] = support_ok & assumptions_ok;
-                }
-            }
-        }
-    }
-
-    /// [`EvalPlan::sample_leaves_wide`] for `K` *independent* RNG
-    /// streams at once: lane group `k` of the interleaved buffer
-    /// (`lanes[slot * K + k]`) receives stream `k`'s samples.
-    ///
-    /// Each stream is consumed in exactly the order
-    /// [`EvalPlan::sample_leaves_wide`] would consume it alone — the
-    /// interleaving only reorders draws *across* streams, and the
-    /// struct-of-arrays [`WideStdRng`] steps all `K` xoshiro states
-    /// element-wise, so the draw loop vectorizes to the target's full
-    /// SIMD width. The chunked Monte-Carlo engine exploits this: chunk
-    /// streams are independent by construction, so a worker can fuse
-    /// several chunks into one vectorized pass without changing any
-    /// chunk's bits.
+    /// Stream `k` is consumed sample-major, leaves in slot order —
+    /// exactly the order 64 consecutive [`EvalPlan::sample_leaves`]
+    /// calls consume one stream — so lane `k` walks its stream position
+    /// for position with the scalar path. Each draw compares the raw
+    /// 53-bit variate against the leaf's integer threshold, exactly
+    /// equivalent to the scalar `f64` compare (see
+    /// [`bernoulli_threshold`]), so every sampled bit is the scalar
+    /// path's. The struct-of-arrays [`WideStdRng`] steps all `K`
+    /// xoshiro states element-wise, so the draw loop vectorizes to the
+    /// target's SIMD width.
     ///
     /// `scratch` is caller-owned accumulator space of `K × leaf_count`
     /// words (contents ignored on entry): the draw loop fills it
@@ -377,20 +333,18 @@ impl EvalPlan {
     ///
     /// # Panics
     ///
-    /// Panics when `group > 64`, `lanes` is shorter than
-    /// `K × slot_count`, or `scratch` is not `K × leaf_count` words.
+    /// Panics when `lanes` is shorter than `K × slot_count` or
+    /// `scratch` is not `K × leaf_count` words.
     pub fn sample_leaves_wide_x<const K: usize>(
         &self,
         rngs: &mut WideStdRng<K>,
         scratch: &mut [u64],
         lanes: &mut [u64],
-        group: u32,
     ) {
-        assert!(group <= 64, "a lane group holds at most 64 samples");
         assert_eq!(scratch.len(), K * self.shape.leaf_slots.len());
         scratch.fill(0);
         let mut draws = [0u64; K];
-        for s in 0..group {
+        for s in 0..64 {
             for (chunk, &threshold) in scratch.chunks_exact_mut(K).zip(&self.leaf_thresholds) {
                 let chunk: &mut [u64; K] = chunk.try_into().expect("chunks_exact yields K");
                 rngs.next_wide(&mut draws);
@@ -406,9 +360,12 @@ impl EvalPlan {
         }
     }
 
-    /// [`EvalPlan::eval_structure_wide`] over a `K`-stream interleaved
-    /// lane buffer (`lanes[slot * K + k]`): one structure pass updates
-    /// all `K × 64` samples.
+    /// Evaluates every non-leaf node for all `K × 64` samples of a
+    /// `K`-stream lane buffer (`lanes[slot * K + k]`) at once — the same
+    /// linear pass as [`EvalPlan::eval_structure`] with each `bool` op
+    /// widened to a bitwise op over the lane masks, so bit `s` of lane
+    /// `k` of every slot is what the scalar pass computes for that
+    /// sample.
     ///
     /// # Panics
     ///
@@ -931,29 +888,35 @@ mod tests {
     fn wide_structure_pass_matches_scalar_per_lane() {
         let (case, _, _) = two_leg_case();
         let plan = EvalPlan::compile(&case).unwrap();
-        // Exhaustive over the 8 leaf-assignment patterns, one per lane.
+        // Exhaustive over the 8 leaf-assignment patterns in every lane
+        // of an 8-stream buffer: lane k holds pattern p ^ k at bit p.
+        const K: usize = 8;
         let leaf_slots: Vec<usize> = plan.shape.leaf_slots.iter().map(|&s| s as usize).collect();
-        let mut lanes = plan.new_lanes();
+        let mut lanes = vec![0u64; plan.slot_count() * K];
         for (bit, &slot) in leaf_slots.iter().enumerate() {
-            for pattern in 0..8u64 {
-                if pattern >> bit & 1 == 1 {
-                    lanes[slot] |= 1 << pattern;
+            for k in 0..K {
+                for pattern in 0..8u64 {
+                    if (pattern ^ k as u64) >> bit & 1 == 1 {
+                        lanes[slot * K + k] |= 1 << pattern;
+                    }
                 }
             }
         }
-        plan.eval_structure_wide(&mut lanes);
-        for pattern in 0..8u64 {
-            let mut buf = plan.new_buffer();
-            for (bit, &slot) in leaf_slots.iter().enumerate() {
-                buf[slot] = pattern >> bit & 1 == 1;
-            }
-            plan.eval_structure(&mut buf);
-            for slot in 0..plan.slot_count() {
-                assert_eq!(
-                    buf[slot],
-                    lanes[slot] >> pattern & 1 == 1,
-                    "slot {slot}, pattern {pattern:03b}"
-                );
+        plan.eval_structure_wide_x::<K>(&mut lanes);
+        for k in 0..K {
+            for pattern in 0..8u64 {
+                let mut buf = plan.new_buffer();
+                for (bit, &slot) in leaf_slots.iter().enumerate() {
+                    buf[slot] = (pattern ^ k as u64) >> bit & 1 == 1;
+                }
+                plan.eval_structure(&mut buf);
+                for slot in 0..plan.slot_count() {
+                    assert_eq!(
+                        buf[slot],
+                        lanes[slot * K + k] >> pattern & 1 == 1,
+                        "slot {slot}, lane {k}, pattern {pattern:03b}"
+                    );
+                }
             }
         }
     }

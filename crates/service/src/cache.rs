@@ -25,7 +25,9 @@
 //! eviction (`Vec::remove(0)`), which turned churn-heavy workloads
 //! quadratic once capacities grew past a handful of cases.
 
-use depcase::assurance::Incremental;
+use crate::protocol::{EditAction, WireError};
+use crate::registry::apply_action;
+use depcase::assurance::{Case, ConfidenceReport, EditStats, Incremental, NodeKind};
 use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
 
@@ -45,27 +47,99 @@ pub struct CacheCounters {
 #[derive(Debug, Clone)]
 pub struct Cached {
     session: Incremental,
-    nodes: OnceLock<Arc<str>>,
+    nodes: OnceLock<Nodes>,
+}
+
+/// An `eval` answer's `nodes` text, and the byte offset where each
+/// node's entry ends in it (a context node's entry is empty).
+#[derive(Debug, Clone)]
+pub(crate) struct Nodes {
+    pub(crate) text: Arc<str>,
+    ends: Vec<usize>,
 }
 
 impl Cached {
-    /// The `nodes` text, rendered from the session by `render` on the
-    /// first call and shared by every later one.
-    pub fn nodes(&self, render: impl FnOnce(&Incremental) -> Arc<str>) -> Arc<str> {
-        Arc::clone(self.nodes.get_or_init(|| render(&self.session)))
+    /// The `nodes` text, rendered from the session on the first call and
+    /// shared by every later one.
+    pub fn nodes(&self) -> Arc<str> {
+        let nodes = self.nodes.get_or_init(|| render(self.case(), self.as_report(), None));
+        Arc::clone(&nodes.text)
+    }
+
+    /// Applies one edit action to the session (see [`apply_action`]). A
+    /// confidence edit keeps a rendered `nodes` text, rendering only its
+    /// dirty spine's entries again; a structural edit drops it; a
+    /// rejected action changes nothing.
+    pub(crate) fn edit(&mut self, action: &EditAction) -> Result<EditStats, WireError> {
+        let stats = apply_action(&mut self.session, action)?;
+        if let (Some(prior), EditAction::SetConfidence { .. }) = (self.nodes.take(), action) {
+            let mut dirty = self.session.spine().to_vec();
+            dirty.sort_unstable();
+            let session = &self.session;
+            let nodes = render(session.case(), session.as_report(), Some((&prior, &dirty)));
+            self.nodes = OnceLock::from(nodes);
+        }
+        Ok(stats)
+    }
+}
+
+/// An `eval` answer's `nodes` array, written straight to text with the
+/// JSON writer's own printers, so the bytes are those of a `Value` tree.
+/// With a `prior` text and the sorted nodes whose values changed since,
+/// every other entry is copied from it instead.
+pub(crate) fn render(
+    case: &Case,
+    report: &ConfidenceReport,
+    prior: Option<(&Nodes, &[u32])>,
+) -> Nodes {
+    let capacity = prior.map_or(96 * case.len(), |(old, _)| old.text.len() + 64);
+    let (mut out, mut ends) = (String::with_capacity(capacity + 2), Vec::with_capacity(case.len()));
+    out.push('[');
+    let (mut copied, mut dirty) = (1, prior.map_or(&[][..], |(_, dirty)| dirty).iter().peekable());
+    for (i, (id, node)) in case.iter().enumerate() {
+        if let Some((old, _)) = prior {
+            if dirty.next_if(|&&d| d as usize == i).is_none() {
+                ends.push(old.ends[i] + out.len() - copied);
+                continue;
+            }
+            out.push_str(&old.text[copied..i.checked_sub(1).map_or(1, |p| old.ends[p])]);
+            copied = old.ends[i];
+        }
+        if let Some(c) = report.confidence(id) {
+            out.push_str(if out.len() == 1 { "{\"name\":" } else { ",{\"name\":" });
+            serde_json::push_string(&mut out, &node.name);
+            out.push_str(",\"kind\":\"");
+            out.push_str(kind_name(&node.kind));
+            out.push_str("\",\"confidence\":");
+            serde_json::push_f64(&mut out, c.independent);
+            out.push_str(",\"worst_case\":");
+            serde_json::push_f64(&mut out, c.worst_case);
+            out.push_str(",\"best_case\":");
+            serde_json::push_f64(&mut out, c.best_case);
+            out.push('}');
+        }
+        ends.push(out.len());
+    }
+    if let Some((old, _)) = prior {
+        out.push_str(&old.text[copied..old.text.len() - 1]);
+    }
+    out.push(']');
+    Nodes { text: out.into(), ends }
+}
+
+fn kind_name(kind: &NodeKind) -> &'static str {
+    match kind {
+        NodeKind::Goal => "goal",
+        NodeKind::Strategy(_) => "strategy",
+        NodeKind::Evidence { .. } => "evidence",
+        NodeKind::Assumption { .. } => "assumption",
+        NodeKind::Context => "context",
     }
 }
 
 impl From<Incremental> for Cached {
     fn from(session: Incremental) -> Self {
         Cached { session, nodes: OnceLock::new() }
-    }
-}
-
-/// The session alone, for an edit to mutate; the text is dropped.
-impl From<Cached> for Incremental {
-    fn from(cached: Cached) -> Self {
-        cached.session
     }
 }
 
@@ -215,7 +289,8 @@ impl PlanCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use depcase::prelude::*;
+    use crate::protocol::WireLeafKind;
+    use depcase::assurance::{templates, Combination};
 
     fn compiled(confidence: f64) -> Arc<Cached> {
         let mut case = Case::new("t");
@@ -223,6 +298,80 @@ mod tests {
         let e = case.add_evidence("E", "evidence", confidence).unwrap();
         case.support(g, e).unwrap();
         Arc::new(Incremental::new(case).unwrap().into())
+    }
+
+    /// A case whose labels need escaping — quotes, backslashes, control
+    /// characters, non-ASCII — with a diamond leaf and a context node.
+    fn escaped_case() -> Case {
+        let mut case = Case::new("t\"\\\n");
+        let g = case.add_goal("G \"root\"", "top\\").unwrap();
+        let s = case.add_strategy("S\t1", "legs", Combination::AnyOf).unwrap();
+        let e1 = case.add_evidence("E\u{1}é", "a\"b", 0.9).unwrap();
+        let e2 = case.add_evidence("E\"2\"", "</script>", 0.7).unwrap();
+        let a = case.add_assumption("A\\", "env", 0.95).unwrap();
+        case.add_context("C\u{7f}", "context").unwrap();
+        for (parent, child) in [(g, s), (s, e1), (s, e2), (g, e2), (g, a)] {
+            case.support(parent, child).unwrap();
+        }
+        case
+    }
+
+    fn name_of(case: &Case, wanted: impl Fn(&NodeKind) -> bool) -> String {
+        case.iter().find(|(_, n)| wanted(&n.kind)).unwrap().1.name.clone()
+    }
+
+    #[test]
+    fn spliced_nodes_text_equals_a_fresh_render() {
+        let mut cases: Vec<Case> =
+            (0..templates::TEMPLATE_COUNT).map(templates::template).collect();
+        cases.push(escaped_case());
+        let mut state = 0x5eed_u64;
+        for case in cases {
+            let leaves: Vec<String> = case
+                .iter()
+                .filter(|(_, n)| {
+                    matches!(n.kind, NodeKind::Evidence { .. } | NodeKind::Assumption { .. })
+                })
+                .map(|(_, n)| n.name.clone())
+                .collect();
+            let mut cached = Cached::from(Incremental::new(case).unwrap());
+            cached.nodes();
+            for _ in 0..40 {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                let node = leaves[(state % leaves.len() as u64) as usize].clone();
+                let confidence = ((state >> 32) % 1001) as f64 / 1000.0;
+                cached.edit(&EditAction::SetConfidence { node, confidence }).unwrap();
+                let fresh = render(cached.case(), cached.as_report(), None);
+                let spliced = cached.nodes.get().expect("a confidence edit keeps the text");
+                assert_eq!(spliced.text, fresh.text);
+                assert_eq!(spliced.ends, fresh.ends);
+            }
+            // A rejected edit keeps the text; structural edits drop it,
+            // and the next read renders the edited case afresh.
+            let node = "no such node".to_string();
+            assert!(cached.edit(&EditAction::SetConfidence { node, confidence: 0.5 }).is_err());
+            assert!(cached.nodes.get().is_some());
+            let parent = name_of(cached.case(), |k| matches!(k, NodeKind::Strategy(_)));
+            let (node, kind) = ("X".to_string(), WireLeafKind::Evidence);
+            let add = EditAction::AddLeaf {
+                parent: name_of(cached.case(), |k| *k == NodeKind::Goal),
+                node,
+                statement: None,
+                kind,
+                confidence: 0.5,
+            };
+            cached.edit(&add).unwrap();
+            assert!(cached.nodes.get().is_none());
+            assert_eq!(cached.nodes(), render(cached.case(), cached.as_report(), None).text);
+            let case = cached.case();
+            let first = case.supporters(case.node_by_name(&parent).unwrap()).unwrap()[0];
+            let from = case.node(first).unwrap().name.clone();
+            cached.edit(&EditAction::Retarget { parent, from, to: "X".into() }).unwrap();
+            assert!(cached.nodes.get().is_none());
+            assert_eq!(cached.nodes(), render(cached.case(), cached.as_report(), None).text);
+        }
     }
 
     #[test]

@@ -47,13 +47,14 @@
 //! are bit-identical to in-process evaluation (the integration tests
 //! assert this via `f64::to_bits`).
 
-use crate::cache::{CacheCounters, Cached, PlanCache};
+use crate::cache::{render, CacheCounters, Cached, PlanCache};
 use crate::lock_unpoisoned;
 use crate::protocol::{
     format_hash, lib_error, BatchItem, EditAction, ErrorCode, EvalAt, Request, Response, WireError,
 };
 use crate::registry::{
-    apply_action, open_plain, shard_of, write_documents, CaseEntry, NamedCase, PackedCase, Registry,
+    apply_action, open_plain, shard_of, write_documents, Bases, CaseEntry, NamedCase, PackedCase,
+    Registry,
 };
 use crate::snapshot::{Manifest, ManifestCase, Store, VersionRecord};
 use crate::stats::{CompileCounters, RobustnessCounters, RobustnessEvent, ServiceStats};
@@ -62,7 +63,7 @@ use crate::telemetry::{self, MetricsRegistry, Telemetry, TlsTracer};
 use crate::wal::{FsyncPolicy, OpRef, RecordRef, Wal, WalOp, WalRecord};
 use depcase::assurance::{
     importance, Case, ConfidenceReport, EvalPlan, Incremental, MemoStoreStats, MonteCarlo,
-    NodeKind, SharedMemo,
+    SharedMemo,
 };
 use depcase::distributions::TwoPoint;
 use depcase::sil::{SilAssessment, SilLevel};
@@ -271,6 +272,8 @@ pub struct Engine {
     /// Registry shards, indexed by [`shard_of`] the case name. Each
     /// shard has its own lock; no operation holds two at once.
     registries: Vec<Mutex<Registry>>,
+    /// Full documents that confidence-only loads are stored as patches of.
+    bases: Bases,
     /// Plan-cache shards, indexed by content hash (decoupled from the
     /// name shard: every cache access site already has the hash).
     caches: Vec<Mutex<PlanCache>>,
@@ -319,6 +322,7 @@ impl Engine {
         let per_shard_cache = config.cache_capacity.div_ceil(shards);
         Engine {
             registries: (0..shards).map(|_| Mutex::new(Registry::default())).collect(),
+            bases: Bases::default(),
             caches: (0..shards).map(|_| Mutex::new(PlanCache::new(per_shard_cache))).collect(),
             memo: (config.memo_entries > 0).then(|| Arc::new(SharedMemo::new(config.memo_entries))),
             stats: Mutex::new(ServiceStats::default()),
@@ -653,7 +657,7 @@ impl Engine {
             WalOp::Load { doc } => {
                 let case =
                     Case::from_value(doc).map_err(|e| format!("replaying load #{seq}: {e}"))?;
-                (PackedCase::pack(&case), case.content_hash())
+                (PackedCase::pack_load(&case, &self.bases), case.content_hash())
             }
             WalOp::Edit { base_hash, action } => {
                 // The base committed under the same name, so it parked
@@ -1102,7 +1106,7 @@ impl Engine {
         // compiling also warms the plan cache for the expected follow-up.
         let session = telemetry::with_span("plan_compile", || self.open_session(case))?;
         let (hash, nodes) = (session.case_hash(), session.case().len());
-        let packed = PackedCase::pack(session.case());
+        let packed = PackedCase::pack_load(session.case(), &self.bases);
         lock_unpoisoned(self.cache(hash)).insert(hash, Arc::new(session.into()));
         let version = self.commit_mutation(name, packed, hash, OpRef::Load { doc })?;
         Ok(Value::Object(vec![
@@ -1369,9 +1373,7 @@ impl Engine {
             } else {
                 // A delta is rebuilt as a session: it answers from that.
                 let session = entry.case.materialize(&mut open_plain);
-                let response = session.map(|s| {
-                    eval_value(&entry, s.as_report(), nodes_text(s.case(), s.as_report()))
-                });
+                let response = session.map(|s| cached_eval_value(&entry, &s.into()));
                 fill(answers, &idxs, response.into());
             }
         }
@@ -1404,7 +1406,7 @@ impl Engine {
                 Ok(reports) => {
                     for (&p, report) in group.iter().zip(&reports) {
                         let (entry, case, idxs, _) = &cold[p];
-                        let nodes = nodes_text(case, report);
+                        let nodes = render(case, report, None).text;
                         fill(answers, idxs, Response::Ok(eval_value(entry, report, nodes)));
                     }
                 }
@@ -1462,19 +1464,21 @@ impl Engine {
     ) -> Result<Value, WireError> {
         let entry = self.lookup(name)?;
         let taken = lock_unpoisoned(self.cache(entry.hash)).take(entry.hash);
-        let mut base = taken
-            .map_or_else(|| self.compile_entry(&entry), |c| Ok(Arc::unwrap_or_clone(c).into()))?;
-        let applied = check_deadline(deadline).and_then(|()| apply_action(&mut base, action));
+        let mut base = taken.map_or_else(
+            || self.compile_entry(&entry).map(Cached::from),
+            |c| Ok(Arc::unwrap_or_clone(c)),
+        )?;
+        let applied = check_deadline(deadline).and_then(|()| base.edit(action));
         let delta = match applied {
             Ok(delta) => delta,
             Err(e) => {
-                lock_unpoisoned(self.cache(entry.hash)).insert(entry.hash, Arc::new(base.into()));
+                lock_unpoisoned(self.cache(entry.hash)).insert(entry.hash, Arc::new(base));
                 return Err(e);
             }
         };
         let (hash, nodes, top) = (base.case_hash(), base.case().len(), base.as_report().top());
         let packed = entry.case.edited(action, base.case());
-        lock_unpoisoned(self.cache(hash)).insert(hash, Arc::new(base.into()));
+        lock_unpoisoned(self.cache(hash)).insert(hash, Arc::new(base));
         let op = OpRef::Edit { base_hash: entry.hash, action };
         let version = self.commit_mutation(name, packed, hash, op)?;
         lock_unpoisoned(&self.stats).note_edit(delta.nodes_recomputed, delta.nodes_reused);
@@ -1594,7 +1598,7 @@ impl Engine {
     ) -> Result<Value, WireError> {
         check_deadline(deadline)?;
         let (runner, plan) =
-            (MonteCarlo::new(samples).seed(seed).threads(threads), compiled.plan());
+            (MonteCarlo::new(samples).seed(seed).threads(mc_threads(threads)), compiled.plan());
         // With a deadline, the run polls it between sample chunks, so
         // `deadline_exceeded` arrives within one chunk of the budget
         // instead of after the full sampling time. A completed run is
@@ -1820,6 +1824,13 @@ fn verify_all(
     })
 }
 
+/// The workers an `mc` request's `threads` buys: at most one per core
+/// (0 leaves the library to pick one per core). Answers do not depend on
+/// the count, so the wire accepts any number and the engine caps it.
+fn mc_threads(requested: usize) -> usize {
+    requested.min(std::thread::available_parallelism().map_or(1, NonZeroUsize::get))
+}
+
 /// True for requests that commit a new case version (the batch
 /// dispatcher treats these as barriers).
 fn is_mutation(request: &Request) -> bool {
@@ -1857,31 +1868,7 @@ fn eval_value(entry: &CaseEntry, report: &ConfidenceReport, nodes: Arc<str>) -> 
 
 /// [`eval_value`] from a cached session, rendering its text at most once.
 fn cached_eval_value(entry: &CaseEntry, cached: &Cached) -> Value {
-    let nodes = cached.nodes(|s| nodes_text(s.case(), s.as_report()));
-    eval_value(entry, cached.as_report(), nodes)
-}
-
-/// An `eval` answer's `nodes` array, written straight to text with the
-/// JSON writer's own printers, so the bytes are those of a `Value` tree.
-fn nodes_text(case: &Case, report: &ConfidenceReport) -> Arc<str> {
-    let mut out = String::with_capacity(96 * case.len() + 2);
-    out.push('[');
-    for (id, node) in case.iter() {
-        let Some(c) = report.confidence(id) else { continue };
-        out.push_str(if out.len() == 1 { "{\"name\":" } else { ",{\"name\":" });
-        serde_json::push_string(&mut out, &node.name);
-        out.push_str(",\"kind\":\"");
-        out.push_str(kind_name(&node.kind));
-        out.push_str("\",\"confidence\":");
-        serde_json::push_f64(&mut out, c.independent);
-        out.push_str(",\"worst_case\":");
-        serde_json::push_f64(&mut out, c.worst_case);
-        out.push_str(",\"best_case\":");
-        serde_json::push_f64(&mut out, c.best_case);
-        out.push('}');
-    }
-    out.push(']');
-    out.into()
+    eval_value(entry, cached.as_report(), cached.nodes())
 }
 
 fn case_header(entry: &CaseEntry) -> Vec<(String, Value)> {
@@ -1890,16 +1877,6 @@ fn case_header(entry: &CaseEntry) -> Vec<(String, Value)> {
         ("version".to_string(), Value::U64(entry.version)),
         ("hash".to_string(), Value::Str(format_hash(entry.hash))),
     ]
-}
-
-fn kind_name(kind: &NodeKind) -> &'static str {
-    match kind {
-        NodeKind::Goal => "goal",
-        NodeKind::Strategy(_) => "strategy",
-        NodeKind::Evidence { .. } => "evidence",
-        NodeKind::Assumption { .. } => "assumption",
-        NodeKind::Context => "context",
-    }
 }
 
 #[cfg(test)]
@@ -2004,6 +1981,18 @@ mod tests {
             .and_then(Value::as_f64)
             .unwrap();
         assert_eq!(wire_estimate.to_bits(), direct.estimate(g).unwrap().to_bits());
+    }
+
+    #[test]
+    fn mc_threads_are_capped_at_one_worker_per_core() {
+        // Through the worker count alone: a request that started this
+        // many threads is exactly what the cap exists to prevent.
+        let cores = std::thread::available_parallelism().map_or(1, NonZeroUsize::get);
+        assert_eq!(mc_threads(usize::MAX), cores);
+        assert_eq!(mc_threads(1 << 20), cores);
+        assert_eq!(mc_threads(cores), cores);
+        assert_eq!(mc_threads(1), 1);
+        assert_eq!(mc_threads(0), 0, "0 still leaves the count to the library");
     }
 
     #[test]

@@ -1,16 +1,21 @@
 //! The version store, sharded by name. A version is kept as its WAL
 //! record says: a `load` (or restored object) as its full document, an
 //! `edit` as a delta — base version plus [`EditAction`] — with every
-//! [`KEYFRAME_INTERVAL`]th version of a chain packed in full. Deltas are
-//! materialised through [`apply_action`], as live edits run it, only
-//! where a whole document is needed (DESIGN.md §13).
+//! [`KEYFRAME_INTERVAL`]th version of a chain packed in full, and a
+//! confidence-only `load` as a patch of a stored document ([`Bases`]).
+//! Deltas are materialised through [`apply_action`], as live edits run
+//! it, only where a whole document is needed (DESIGN.md §13).
 
+use crate::lock_unpoisoned;
 use crate::protocol::{lib_error, EditAction, ErrorCode, WireError};
 use crate::snapshot::VersionRecord;
 use crate::telemetry::TlsTracer;
 use depcase::assurance::{Case, EditStats, Incremental, NodeId};
+use std::borrow::Cow;
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::hash::{BuildHasher, BuildHasherDefault, DefaultHasher};
+use std::ops::Range;
+use std::sync::{Arc, Mutex};
 
 /// A chain stores one full keyframe per this many versions.
 pub(crate) const KEYFRAME_INTERVAL: u32 = 16;
@@ -28,9 +33,17 @@ enum Form {
     /// The serialized document (the snapshot object form): canonical
     /// when packed here, as read when restored from the store.
     Full(Arc<str>),
+    /// `base`'s document with the number at each `(start, end)` byte
+    /// range replaced by the text beside it.
+    Patch { base: PackedCase, numbers: Box<[(usize, usize, Box<str>)]> },
     /// `action` applied to `base`, `depth` deltas past the keyframe.
     Delta { base: PackedCase, action: EditAction, depth: u32 },
 }
+
+/// Full documents by a hash of their text outside the numbers after
+/// `"confidence":` keys: the bases a confidence-only `load` is stored
+/// as a patch of. One per engine, as variants land in other shards.
+pub(crate) type Bases = Mutex<HashMap<u64, PackedCase>>;
 
 /// Opens a live session over a rebuilt keyframe case.
 pub(crate) type Opener<'a> = dyn FnMut(Case) -> Result<Incremental, WireError> + 'a;
@@ -48,6 +61,31 @@ impl PackedCase {
         PackedCase { form: Arc::new(Form::Full(doc)), title: title.into() }
     }
 
+    /// Packs a loaded case as a patch of a stored full document whose
+    /// text equals its canonical text byte for byte outside those
+    /// numbers — labels, title, structure and statements included — or
+    /// else in full, as a base for later loads.
+    pub(crate) fn pack_load(case: &Case, bases: &Bases) -> PackedCase {
+        let doc = case.to_json();
+        let (outside, numbers) = split(&doc);
+        let key = BuildHasherDefault::<DefaultHasher>::default().hash_one(&outside);
+        let base = lock_unpoisoned(bases).get(&key).cloned();
+        if let Some(base) = base {
+            let Form::Full(text) = &*base.form else { unreachable!("bases are full") };
+            let (base_outside, base_numbers) = split(text);
+            if base_outside == outside {
+                let numbers = base_numbers.into_iter().zip(numbers);
+                let changed = numbers.filter(|(old, new)| text[old.clone()] != doc[new.clone()]);
+                let numbers = changed.map(|(old, new)| (old.start, old.end, doc[new].into()));
+                let (numbers, title) = (numbers.collect(), Arc::clone(&base.title));
+                return PackedCase { form: Arc::new(Form::Patch { base, numbers }), title };
+            }
+        }
+        let packed = PackedCase::stored(doc.into(), case.title());
+        lock_unpoisoned(bases).entry(key).or_insert_with(|| packed.clone());
+        packed
+    }
+
     /// The version `action` made of this one, given the edited case: a
     /// delta, or a fresh keyframe when the chain is due one.
     pub(crate) fn edited(&self, action: &EditAction, edited: &Case) -> PackedCase {
@@ -59,14 +97,33 @@ impl PackedCase {
         PackedCase { form, title: Arc::clone(&self.title) }
     }
 
+    /// A keyframe's document, a patch spliced into its base's; `None`
+    /// for a delta.
+    fn document(&self) -> Option<Cow<'_, str>> {
+        match &*self.form {
+            Form::Full(doc) => Some(Cow::Borrowed(doc)),
+            Form::Patch { base, numbers } => {
+                let base = base.document()?;
+                let mut out = String::with_capacity(base.len() + 16 * numbers.len());
+                let copied = numbers.iter().fold(0, |copied, (start, end, text)| {
+                    out.extend([&base[copied..*start], text]);
+                    *end
+                });
+                out.push_str(&base[copied..]);
+                Some(Cow::Owned(out))
+            }
+            Form::Delta { .. } => None,
+        }
+    }
+
     /// A keyframe's case, decoded from its document; `None` for a delta,
     /// which only [`PackedCase::materialize`] rebuilds.
     pub(crate) fn unpack(&self) -> Option<Result<Case, WireError>> {
-        let Form::Full(doc) = &*self.form else { return None };
+        let doc = self.document()?;
         // The engine packed or verified these bytes itself: failing to
         // read them back is an internal invariant break, not bad input.
         let broken = |e| format!("packed case document failed to decode: {e}");
-        Some(Case::from_json(doc).map_err(|e| WireError::new(ErrorCode::InternalError, broken(e))))
+        Some(Case::from_json(&doc).map_err(|e| WireError::new(ErrorCode::InternalError, broken(e))))
     }
 
     /// Rebuilds this version as a live session: `open` compiles the
@@ -90,11 +147,12 @@ pub(crate) fn write_documents(
 ) -> std::io::Result<()> {
     let mut carried: Option<(PackedCase, Incremental)> = None;
     for (hash, version) in versions {
+        if let Some(doc) = version.document() {
+            write(hash, &doc)?;
+            carried = None;
+            continue;
+        }
         let session = match (&*version.form, carried.take()) {
-            (Form::Full(doc), _) => {
-                write(hash, doc)?;
-                continue;
-            }
             (Form::Delta { base, action, .. }, Some((last, mut session)))
                 if Arc::ptr_eq(&base.form, &last.form) =>
             {
@@ -107,6 +165,25 @@ pub(crate) fn write_documents(
         carried = Some((version, session));
     }
     Ok(())
+}
+
+/// `doc`'s text outside the numbers after `"confidence":` keys, and
+/// those numbers' byte ranges. Keys are the only place the pattern
+/// occurs: inside a string its quotes would be escaped.
+fn split(doc: &str) -> (Vec<&str>, Vec<Range<usize>>) {
+    const KEY: &str = "\"confidence\":";
+    let (mut outside, mut numbers, mut at) = (Vec::new(), Vec::new(), 0);
+    // A one-byte search for the key's `f`, rare in a case document, is
+    // faster than a substring search.
+    let keys = doc.match_indices('f').filter_map(|(f, _)| f.checked_sub("\"con".len()));
+    for found in keys.filter(|&k| doc.as_bytes()[k..].starts_with(KEY.as_bytes())) {
+        let start = found + KEY.len();
+        outside.push(&doc[at..start]);
+        at = start + doc[start..].find([',', '}']).unwrap_or(doc.len() - start);
+        numbers.push(start..at);
+    }
+    outside.push(&doc[at..]);
+    (outside, numbers)
 }
 
 /// A session with a private memo, for rebuilds that only need the case.
@@ -379,6 +456,96 @@ mod tests {
         let fulls = registry.objects.values().filter(|v| matches!(*v.form, Form::Full(_))).count();
         assert_eq!(registry.objects.len(), 1001);
         assert!(fulls <= 1000 / 16 + 1, "{fulls} full documents for 1000 edits");
+    }
+
+    /// Every leaf's confidence bits, by name.
+    fn confidence_bits(case: &Case) -> Vec<(String, u64)> {
+        let leaf = |kind: &NodeKind| match *kind {
+            NodeKind::Evidence { confidence } | NodeKind::Assumption { confidence } => {
+                Some(confidence.to_bits())
+            }
+            _ => None,
+        };
+        case.iter().filter_map(|(_, n)| Some((n.name.clone(), leaf(&n.kind)?))).collect()
+    }
+
+    #[test]
+    fn a_confidence_only_load_is_a_patch_that_unpacks_and_writes_the_full_bytes() {
+        for id in 0..templates::TEMPLATE_COUNT {
+            let bases = Bases::default();
+            let base = PackedCase::pack_load(&templates::template(id), &bases);
+            assert!(matches!(*base.form, Form::Full(_)), "template {id}");
+            for v in 0..16 {
+                let variant = templates::stamp(id, v);
+                let packed = PackedCase::pack_load(&variant, &bases);
+                let Form::Patch { numbers, .. } = &*packed.form else {
+                    panic!("template {id} variant {v} was not stored as a patch")
+                };
+                assert!(numbers.len() <= 3, "only re-elicited numbers are kept");
+                // The bytes the full form wrote, and the same case back.
+                assert_eq!(documents(vec![(0, packed.clone())]), [variant.to_json()]);
+                let unpacked = packed.unpack().unwrap().unwrap();
+                assert_eq!(confidence_bits(&unpacked), confidence_bits(&variant));
+                assert_eq!(unpacked.content_hash(), variant.content_hash());
+                assert_eq!(&*packed.title, variant.title());
+            }
+        }
+    }
+
+    #[test]
+    fn a_load_that_differs_outside_confidence_numbers_is_stored_full() {
+        let template = templates::template(3);
+        let text = template.to_json();
+        let mut retargeted = template.clone();
+        let (s0, s1) =
+            (retargeted.node_by_name("S0").unwrap(), retargeted.node_by_name("S1").unwrap());
+        let (from, to) =
+            (retargeted.supporters(s0).unwrap()[0], retargeted.supporters(s1).unwrap()[0]);
+        retargeted.retarget_support(s0, from, to).unwrap();
+        // The root's children, `[1,…]`, in another order: numbers, but
+        // not confidences.
+        let at = text.find("\"children\":[[").unwrap() + "\"children\":[".len();
+        let root_children = &text[at..=at + text[at..].find(']').unwrap()];
+        let mut swapped: Vec<&str> = root_children[1..root_children.len() - 1].split(',').collect();
+        swapped.swap(0, 1);
+        let edits = [
+            ("\"title\":\"template-3\"", "\"title\":\"template-4\"".to_string()),
+            ("\"name\":\"E0_1\"", "\"name\":\"E0_9\"".to_string()),
+            ("\"statement\":\"sub-claim\"", "\"statement\":\"sub-claims\"".to_string()),
+            ("{\"Evidence\":{\"confidence\"", "{\"Assumption\":{\"confidence\"".to_string()),
+            ("\"AnyOf\"", "\"AllOf\"".to_string()),
+            (root_children, format!("[{}]", swapped.join(","))),
+        ];
+        let mut others: Vec<Case> = edits
+            .iter()
+            .map(|(from, to)| {
+                assert!(text.contains(from), "{from} is not in the template's text");
+                Case::from_json(&text.replacen(from, to, 1)).unwrap()
+            })
+            .collect();
+        others.push(retargeted);
+        for other in others {
+            let bases = Bases::default();
+            PackedCase::pack_load(&template, &bases);
+            let packed = PackedCase::pack_load(&other, &bases);
+            assert!(matches!(*packed.form, Form::Full(_)), "{}", other.to_json());
+            assert_eq!(documents(vec![(0, packed)]), [other.to_json()]);
+            // A hash collision: the index offers the template under this
+            // load's own key, and the text comparison still refuses it.
+            let bases = Bases::default();
+            PackedCase::pack_load(&other, &bases);
+            lock_unpoisoned(&bases).values_mut().for_each(|v| *v = PackedCase::pack(&template));
+            let packed = PackedCase::pack_load(&other, &bases);
+            assert!(matches!(*packed.form, Form::Full(_)), "{}", other.to_json());
+        }
+        // The key pattern inside an escaped string is text, not a number.
+        let quoted = |n: &str| {
+            let to = format!("\"statement\":\"environment\\\"confidence\\\":{n}\"");
+            Case::from_json(&text.replacen("\"statement\":\"environment\"", &to, 1)).unwrap()
+        };
+        let bases = Bases::default();
+        PackedCase::pack_load(&quoted("0.5"), &bases);
+        assert!(matches!(*PackedCase::pack_load(&quoted("0.6"), &bases).form, Form::Full(_)));
     }
 
     #[test]
