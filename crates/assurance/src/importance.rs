@@ -11,7 +11,7 @@
 //! and restored. A node's value depends only on its children's, so
 //! each probe is bit-identical to clone, set leaf, propagate.
 
-use crate::error::Result;
+use crate::error::{CaseError, Result};
 use crate::graph::{Case, NodeId};
 use crate::ir::{CaseIr, Spine};
 use crate::propagation::{recompute, NodeConfidence};
@@ -60,18 +60,29 @@ pub struct LeafImportance {
 /// # Ok::<(), depcase_assurance::CaseError>(())
 /// ```
 pub fn birnbaum_importance(case: &Case) -> Result<Vec<LeafImportance>> {
-    let roots = case.roots();
-    if roots.len() != 1 {
-        return Err(crate::error::CaseError::InvalidStructure(format!(
-            "importance analysis needs exactly one root goal, found {}",
-            roots.len()
-        )));
-    }
-    let root = roots[0].to_index();
+    one_root(case.roots().len())?;
     case.validate()?;
     let ir = CaseIr::build(case)?;
     let mut values = vec![None; ir.len()];
     recompute(&ir, ir.topo(), &mut values);
+    Ok(sweep(case, &ir, values))
+}
+
+/// Importance analysis needs exactly one root goal.
+pub(crate) fn one_root(roots: usize) -> Result<()> {
+    let message = || format!("importance analysis needs exactly one root goal, found {roots}");
+    (roots == 1).then_some(()).ok_or_else(|| CaseError::InvalidStructure(message()))
+}
+
+/// The per-leaf spine loop over a single-rooted case's lowered `ir` and
+/// its propagated `values` — what [`birnbaum_importance`] and
+/// [`crate::Incremental::importance`] share.
+pub(crate) fn sweep(
+    case: &Case,
+    ir: &CaseIr,
+    mut values: Vec<Option<NodeConfidence>>,
+) -> Vec<LeafImportance> {
+    let root = ir.roots()[0] as usize;
     let base = values[root].expect("the root participates").independent;
     let mut out = Vec::with_capacity((0..ir.len()).filter(|&i| ir.kind(i).is_leaf()).count());
     let (mut scratch, mut saved) = (Spine::default(), Vec::new());
@@ -85,7 +96,7 @@ pub fn birnbaum_importance(case: &Case) -> Result<Vec<LeafImportance>> {
         // derivative is the secant slope between leaf = 0 and leaf = 1.
         let mut probe = |c| {
             values[i] = Some(NodeConfidence::from_point(c));
-            recompute(&ir, &spine[1..], &mut values);
+            recompute(ir, &spine[1..], &mut values);
             values[root].expect("the root participates").independent
         };
         let (hi, lo) = (probe(1.0), probe(0.0));
@@ -106,7 +117,7 @@ pub fn birnbaum_importance(case: &Case) -> Result<Vec<LeafImportance>> {
             .expect("finite gains")
             .then_with(|| a.name.cmp(&b.name))
     });
-    Ok(out)
+    out
 }
 
 /// The single best leaf to improve: largest root-confidence gain when

@@ -24,6 +24,7 @@
 
 use crate::error::{CaseError, Result};
 use crate::graph::{Case, NodeId, NodeKind};
+use crate::importance::{one_root, sweep, LeafImportance};
 use crate::ir::{CaseIr, IrKind, Spine};
 use crate::memo::MemoStore;
 use crate::plan::EvalPlan;
@@ -253,6 +254,18 @@ impl Incremental {
     #[must_use]
     pub fn case_hash(&self) -> u64 {
         self.ir.case_hash()
+    }
+
+    /// [`birnbaum_importance`](crate::birnbaum_importance) of the case,
+    /// bit for bit, swept over the session's own IR and values instead
+    /// of validating, lowering and propagating the case again.
+    ///
+    /// # Errors
+    ///
+    /// [`CaseError::InvalidStructure`] when there is not exactly one root.
+    pub fn importance(&self) -> Result<Vec<LeafImportance>> {
+        one_root(self.ir.roots().len())?;
+        Ok(sweep(&self.case, &self.ir, self.report.values.clone()))
     }
 
     /// The last edit's dirty spine: the edited node (or retargeted

@@ -20,23 +20,24 @@
 //!
 //! # Wide sampling
 //!
-//! Samples are evaluated **64 at a time in eight lanes**: every node
+//! Samples are evaluated **64 at a time in sixteen lanes**: every node
 //! holds a 64-bit mask per lane instead of one `bool`, leaf draws set
 //! one bit per sample through an integer-threshold compare, the
 //! structure pass runs bitwise AND/OR over whole masks, and hits are
 //! counted with one popcount per target per lane. Each lane has its own
-//! xoshiro256++ state and the eight are stepped struct-of-arrays, so
+//! xoshiro256++ state and the sixteen are stepped struct-of-arrays, so
 //! the draw loop vectorizes instead of waiting on one serial chain.
 //!
-//! A claim of eight full chunks gives each lane one whole chunk's
-//! stream. Any other chunk is cut into eight contiguous ranges of
-//! `m = 64·⌈n/512⌉` samples, and lane `k` starts `k·m·leaves` steps
-//! into the chunk's stream, reached by GF(2) jump-ahead
-//! ([`StdRng::jump`]). Either way every lane draws exactly the variates
-//! the serial stream draws for its samples, and every compare equals
-//! the scalar `f64` compare, so the engine is bit-identical to the
-//! scalar reference ([`MonteCarlo::run_sequential`]) chunk by chunk —
-//! the tests pin this across group and chunk boundaries.
+//! Every chunk of `n` samples is cut into sixteen contiguous ranges of
+//! `m = 64·⌈n/1024⌉` samples, and lane `k` starts `k·m·leaves` steps
+//! into the chunk's stream. All sixteen starts come from one pass of
+//! GF(2) jump-ahead ([`WideStdRng::from_jumps`]), each lane masking its
+//! own cached polynomial x^(k·m·leaves) mod P(x). Every lane draws
+//! exactly the variates the serial stream draws for its samples, and
+//! every compare equals the scalar `f64` compare, so the engine is
+//! bit-identical to the scalar reference
+//! ([`MonteCarlo::run_sequential`]) chunk by chunk — the tests pin this
+//! across group and chunk boundaries.
 //!
 //! # Plan reuse
 //!
@@ -52,7 +53,6 @@ use crate::plan::EvalPlan;
 use crate::trace::Tracer;
 use rand::rngs::{StdRng, WideStdRng};
 use rand::{RngCore, SeedableRng};
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::time::Instant;
 
@@ -64,7 +64,8 @@ pub const CHUNK_SAMPLES: u32 = 4096;
 /// Monte-Carlo estimate of the probability each goal/strategy holds.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MonteCarloReport {
-    estimates: HashMap<NodeId, f64>,
+    /// Every target's estimate, in node order (the plan's target order).
+    estimates: Vec<(NodeId, f64)>,
     samples: u32,
 }
 
@@ -72,7 +73,14 @@ impl MonteCarloReport {
     /// Estimated probability the node's claim holds.
     #[must_use]
     pub fn estimate(&self, id: NodeId) -> Option<f64> {
-        self.estimates.get(&id).copied()
+        let at = self.estimates.binary_search_by_key(&id.to_index(), |(t, _)| t.to_index());
+        Some(self.estimates[at.ok()?].1)
+    }
+
+    /// Every estimated node with its estimate and
+    /// [half-width](MonteCarloReport::half_width), in node order.
+    pub fn rows(&self) -> impl Iterator<Item = (NodeId, f64, f64)> + '_ {
+        self.estimates.iter().map(|&(id, p)| (id, p, self.wilson(p)))
     }
 
     /// Half-width of the ~95 % **Wilson-score** confidence interval for
@@ -85,22 +93,20 @@ impl MonteCarloReport {
     /// order `z²/n` instead of a spurious zero.
     #[must_use]
     pub fn half_width(&self, id: NodeId) -> Option<f64> {
-        let p = self.estimate(id)?;
-        let n = f64::from(self.samples);
-        let z = 1.96_f64;
-        let z2 = z * z;
-        Some(z * ((p * (1.0 - p) + z2 / (4.0 * n)) / n).sqrt() / (1.0 + z2 / n))
+        self.estimate(id).map(|p| self.wilson(p))
+    }
+
+    fn wilson(&self, p: f64) -> f64 {
+        let (n, z) = (f64::from(self.samples), 1.96_f64);
+        z * ((p * (1.0 - p) + z * z / (4.0 * n)) / n).sqrt() / (1.0 + z * z / n)
     }
 
     /// The ~95 % Wilson-score interval `(lo, hi)` for the node's
     /// estimate, clamped to `[0, 1]`.
     #[must_use]
     pub fn interval(&self, id: NodeId) -> Option<(f64, f64)> {
-        let p = self.estimate(id)?;
-        let hw = self.half_width(id)?;
-        let n = f64::from(self.samples);
-        let z2 = 1.96_f64 * 1.96;
-        let center = (p + z2 / (2.0 * n)) / (1.0 + z2 / n);
+        let (p, n, z2) = (self.estimate(id)?, f64::from(self.samples), 1.96_f64 * 1.96);
+        let (center, hw) = ((p + z2 / (2.0 * n)) / (1.0 + z2 / n), self.wilson(p));
         Some(((center - hw).max(0.0), (center + hw).min(1.0)))
     }
 
@@ -125,71 +131,54 @@ fn run_samples(plan: &EvalPlan, count: u32, rng: &mut dyn RngCore, hits: &mut [u
 }
 
 /// Lanes, each with its own RNG stream, that one wide pass steps at
-/// once. Eight fill an AVX2 register file without spilling and split
-/// evenly across AVX-512 registers.
-const INTERLEAVE: usize = 8;
+/// once. Sixteen compile to whole-register xoshiro steps with no lane
+/// shuffles; at eight, LLVM packs the state words into shared registers
+/// and shuffles them on every draw (DESIGN.md §9).
+pub(crate) const INTERLEAVE: usize = 16;
 
-// Lanes step whole 64-sample groups, and a chunk splits into at most
-// eight groups per lane.
-const _: () = assert!(CHUNK_SAMPLES.is_multiple_of(64) && CHUNK_SAMPLES <= 64 * 64);
+/// Chunks a worker claims at once: the span between two polls of a
+/// run's stop hook, kept apart from the lane count.
+const CLAIM: u32 = 8;
 
-/// Runs lane `k` through `counts[k]` samples of the stream that starts
-/// at `starts[k]`, 64 at a time, adding every lane's hits into `hits`
-/// (integer sums: exact and commutative). Lanes draw whole groups;
-/// samples past a lane's count are masked out of the popcount.
-fn run_lanes(
-    plan: &EvalPlan,
-    starts: [StdRng; INTERLEAVE],
-    counts: [u32; INTERLEAVE],
-    hits: &mut [u64],
-) {
-    let mut rngs = WideStdRng::from_states(starts);
-    let mut masks = vec![0; plan.slot_count() * INTERLEAVE];
-    let mut scratch = vec![0; plan.leaf_count() * INTERLEAVE];
-    for g in 0..counts.iter().max().map_or(0, |n| n.div_ceil(64)) {
-        plan.sample_leaves_wide_x(&mut rngs, &mut scratch, &mut masks);
-        plan.eval_structure_wide_x::<INTERLEAVE>(&mut masks);
-        let valid = counts.map(|n| match n.saturating_sub(64 * g) {
-            0 => 0,
-            left => !0u64 >> 64u32.saturating_sub(left),
-        });
-        for (h, &(_, slot)) in hits.iter_mut().zip(plan.targets()) {
-            let lanes = &masks[slot as usize * INTERLEAVE..][..INTERLEAVE];
-            for (mask, valid) in lanes.iter().zip(valid) {
-                *h += u64::from((mask & valid).count_ones());
-            }
-        }
-    }
-}
+// A chunk splits into whole 64-sample groups, the same count per lane.
+const _: () = assert!(CHUNK_SAMPLES.is_multiple_of(64 * INTERLEAVE as u32));
 
-/// Runs chunks `c0..c0 + take` of a `samples`-sample run: a claim of
-/// [`INTERLEAVE`] full chunks runs one chunk per lane; otherwise each
-/// chunk in turn is cut into eight ranges of `m` samples, lane `k`
-/// jumping `k·m·leaves` steps into the chunk's stream (module docs).
+/// Runs chunks `c0..c0 + take` of a `samples`-sample run. Each chunk is
+/// cut into [`INTERLEAVE`] ranges of `m` samples, all lanes started from
+/// the chunk's stream by one wide jump, lane `k` `k·m·leaves` steps in
+/// (module docs); lanes draw whole groups, and samples past a lane's
+/// range are masked out of the popcount. Hits are integer sums, so
+/// exact and commutative.
 fn run_claim(
     plan: &EvalPlan,
     (samples, seed): (u32, u64),
     (c0, take): (u32, u32),
     hits: &mut [u64],
 ) {
-    let stream = |c: u32| StdRng::seed_from_u64(chunk_seed(seed, u64::from(c)));
-    if take == INTERLEAVE as u32 && chunk_len(samples, c0 + take - 1) == CHUNK_SAMPLES {
-        let starts = std::array::from_fn(|k| stream(c0 + k as u32));
-        return run_lanes(plan, starts, [CHUNK_SAMPLES; INTERLEAVE], hits);
-    }
+    let mut masks = vec![0; plan.slot_count() * INTERLEAVE];
+    let mut scratch = vec![0; plan.leaf_count() * INTERLEAVE];
     for c in c0..c0 + take {
         let n = chunk_len(samples, c);
         let groups = n.div_ceil(64 * INTERLEAVE as u32);
-        let (m, jump, mut rng) = (64 * groups, plan.lane_jump(groups), stream(c));
-        let starts = std::array::from_fn(|k| {
-            let start = rng.clone();
-            if (k as u32 + 1) * m < n {
-                rng.jump(jump);
+        let stream = StdRng::seed_from_u64(chunk_seed(seed, u64::from(c)));
+        let mut rngs = WideStdRng::from_jumps(&stream, plan.lane_jumps(groups));
+        let m = 64 * groups;
+        let counts: [u32; INTERLEAVE] =
+            std::array::from_fn(|k| n.saturating_sub(k as u32 * m).min(m));
+        for g in 0..groups {
+            plan.sample_leaves_wide_x(&mut rngs, &mut scratch, &mut masks);
+            plan.eval_structure_wide_x::<INTERLEAVE>(&mut masks);
+            let valid = counts.map(|count| match count.saturating_sub(64 * g) {
+                0 => 0,
+                left => !0u64 >> 64u32.saturating_sub(left),
+            });
+            for (h, &(_, slot)) in hits.iter_mut().zip(plan.targets()) {
+                let lanes = &masks[slot as usize * INTERLEAVE..][..INTERLEAVE];
+                for (mask, valid) in lanes.iter().zip(valid) {
+                    *h += u64::from((mask & valid).count_ones());
+                }
             }
-            start
-        });
-        let counts = std::array::from_fn(|k| n.saturating_sub(k as u32 * m).min(m));
-        run_lanes(plan, starts, counts, hits);
+        }
     }
 }
 
@@ -433,7 +422,7 @@ fn chunk_len(samples: u32, chunk: u32) -> u32 {
 /// `seed` at **any** thread count (module docs). Every worker polls
 /// `should_stop` before claiming its next chunks and the whole run is
 /// abandoned (→ `None`) as soon as any worker sees `true`, so honoring a
-/// stop waits for at most one claim ([`INTERLEAVE`] chunks) per worker.
+/// stop waits for at most one claim ([`CLAIM`] chunks) per worker.
 /// A run that needs one worker runs on the calling thread.
 fn run_parallel_until(
     plan: &EvalPlan,
@@ -463,11 +452,11 @@ fn run_parallel_until(
                 stopped.store(true, Ordering::Relaxed);
                 break;
             }
-            let c0 = next_chunk.fetch_add(INTERLEAVE, Ordering::Relaxed) as u32;
+            let c0 = next_chunk.fetch_add(CLAIM as usize, Ordering::Relaxed) as u32;
             if c0 >= chunks {
                 break;
             }
-            let take = (chunks - c0).min(INTERLEAVE as u32);
+            let take = (chunks - c0).min(CLAIM);
             run_claim(plan, (samples, seed), (c0, take), &mut hits);
         }
         hits
@@ -719,16 +708,18 @@ mod tests {
 
     #[test]
     fn wide_engine_leaves_the_rng_at_the_scalar_stream_position() {
-        // A lane's jumped start is where the scalar stream stands after
-        // the lanes before it: equal draw consumption is what keeps
+        // Each lane's jumped start is where the scalar stream stands
+        // after the lanes before it: equal draw consumption is what keeps
         // every range of a chunk's stream aligned.
         let plan = EvalPlan::compile(&gnarly_case()).unwrap();
-        for groups in 1..=8u32 {
-            let mut a = rng(3);
-            let mut b = rng(3);
-            run_samples(&plan, 64 * groups, &mut a, &mut vec![0u64; plan.targets().len()]);
-            b.jump(plan.lane_jump(groups));
-            assert_eq!(a.next_u64(), b.next_u64(), "{groups} groups");
+        for groups in 1..=CHUNK_SAMPLES / (64 * INTERLEAVE as u32) {
+            let mut firsts = [0u64; INTERLEAVE];
+            WideStdRng::from_jumps(&rng(3), plan.lane_jumps(groups)).next_wide(&mut firsts);
+            let mut scalar = rng(3);
+            for (k, first) in firsts.iter().enumerate() {
+                assert_eq!(scalar.clone().next_u64(), *first, "{groups} groups, lane {k}");
+                run_samples(&plan, 64 * groups, &mut scalar, &mut vec![0u64; plan.targets().len()]);
+            }
         }
     }
 
@@ -816,8 +807,8 @@ mod tests {
 
     #[test]
     fn interleaved_chunk_claims_match_the_hand_chunked_scalar_reference() {
-        // ≥ 2×INTERLEAVE full chunks plus a short tail: exercises the
-        // interleaved fast path *and* the per-chunk fallback in one run.
+        // Several full claims of chunks plus a short tail: whole chunks
+        // and a tail chunk with empty lanes in one run.
         let case = gnarly_case();
         let plan = EvalPlan::compile(&case).unwrap();
         let samples = 2 * (INTERLEAVE as u32) * CHUNK_SAMPLES + 13;

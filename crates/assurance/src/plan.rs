@@ -13,10 +13,11 @@
 
 use crate::error::{CaseError, Result};
 use crate::graph::{Case, Combination, NodeId};
-use crate::ir::{CaseIr, Fnv, IrKind};
+use crate::ir::{CaseIr, IrKind};
+use crate::monte_carlo::{CHUNK_SAMPLES, INTERLEAVE};
 use crate::propagation::{ConfidenceReport, NodeConfidence};
 use crate::trace::Tracer;
-use rand::rngs::{StdRng, WideStdRng};
+use rand::rngs::{mul_mod, StdRng, WideStdRng};
 use rand::Rng;
 use rand::RngCore;
 use std::sync::{Arc, OnceLock};
@@ -112,14 +113,15 @@ struct PlanShape {
     /// Total slot count (= node count of the compiled case).
     slots: usize,
     /// Lane jump polynomials by 64-sample group count, made on first
-    /// use (see [`EvalPlan::lane_jump`]).
+    /// use (see [`EvalPlan::lane_jumps`]).
     jumps: LaneJumps,
 }
 
-/// `jumps[g - 1]` moves a chunk stream `g` sample groups ahead. Derived
-/// from the leaf count alone, so it takes no part in shape equality.
+/// `jumps[g - 1][k]` moves a chunk stream `k·g` sample groups ahead, for
+/// every group count a chunk's lanes can draw. Derived from the leaf
+/// count alone, so it takes no part in shape equality.
 #[derive(Debug, Default)]
-struct LaneJumps([OnceLock<[u64; 4]>; 8]);
+struct LaneJumps([OnceLock<[[u64; 4]; INTERLEAVE]>; CHUNK_SAMPLES as usize / 64 / INTERLEAVE]);
 
 impl PartialEq for LaneJumps {
     fn eq(&self, _: &Self) -> bool {
@@ -247,16 +249,25 @@ impl EvalPlan {
         &self.shape.targets
     }
 
-    /// The polynomial that moves a chunk's stream `groups` 64-sample
-    /// groups ahead, `StdRng::jump_poly(groups · 64 · leaf_count)`:
-    /// made once per shape and group count, as it costs tens of µs.
+    /// The polynomials that start each lane of a chunk cut into ranges
+    /// of `groups` 64-sample groups: lane `k`'s moves the chunk's stream
+    /// `k · groups · 64 · leaf_count` steps ahead. Made once per shape
+    /// and group count, from one [`StdRng::jump_poly`] and its powers.
     ///
     /// # Panics
     ///
-    /// Panics unless `1 ≤ groups ≤ 8`.
-    pub(crate) fn lane_jump(&self, groups: u32) -> &[u64; 4] {
-        let steps = u64::from(groups) * 64 * self.leaf_count() as u64;
-        self.shape.jumps.0[groups as usize - 1].get_or_init(|| StdRng::jump_poly(steps))
+    /// Panics unless `1 ≤ groups ≤ CHUNK_SAMPLES / (64 · INTERLEAVE)`.
+    pub(crate) fn lane_jumps(&self, groups: u32) -> &[[u64; 4]; INTERLEAVE] {
+        self.shape.jumps.0[groups as usize - 1].get_or_init(|| {
+            let range = StdRng::jump_poly(u64::from(groups) * 64 * self.leaf_count() as u64);
+            let mut poly = [1, 0, 0, 0];
+            std::array::from_fn(|k| {
+                if k > 0 {
+                    poly = mul_mod(poly, range);
+                }
+                poly
+            })
+        })
     }
 
     /// Allocates a correctly sized evaluation buffer.
@@ -415,53 +426,6 @@ impl EvalPlan {
                 }
             }
         }
-    }
-
-    /// FNV-1a hash of the plan's *structure* — steps, leaf slots,
-    /// targets, roots, slot count — ignoring the leaf confidences.
-    ///
-    /// Two plans with equal shape hashes (and, definitively, equal
-    /// shapes) can be evaluated together by
-    /// [`EvalPlan::propagate_batch`]: the batch key the service uses to
-    /// group coalesced requests.
-    #[must_use]
-    pub fn shape_hash(&self) -> u64 {
-        let mut h = Fnv::new();
-        let shape = &*self.shape;
-        h.write_u64(shape.slots as u64);
-        h.write_u64(shape.steps.len() as u64);
-        for step in &shape.steps {
-            match step {
-                Step::Constant { slot } => {
-                    h.write(&[0]);
-                    h.write_u64(u64::from(*slot));
-                }
-                Step::Combine { slot, rule, support, assumptions } => {
-                    h.write(&[match rule {
-                        Combination::AllOf => 1,
-                        Combination::AnyOf => 2,
-                    }]);
-                    h.write_u64(u64::from(*slot));
-                    h.write_u64(support.len() as u64);
-                    for &c in support {
-                        h.write_u64(u64::from(c));
-                    }
-                    h.write_u64(assumptions.len() as u64);
-                    for &c in assumptions {
-                        h.write_u64(u64::from(c));
-                    }
-                }
-            }
-        }
-        h.write_u64(shape.leaf_slots.len() as u64);
-        for &s in &shape.leaf_slots {
-            h.write_u64(u64::from(s));
-        }
-        h.write_u64(shape.roots.len() as u64);
-        for &r in &shape.roots {
-            h.write_u64(u64::from(r));
-        }
-        h.0
     }
 
     /// True when `other` can join a batch with `self`: identical
@@ -922,12 +886,11 @@ mod tests {
     }
 
     #[test]
-    fn shape_hash_ignores_confidences_but_not_structure() {
+    fn same_shape_ignores_confidences_but_not_structure() {
         let (case, _, _) = two_leg_case();
         let a = EvalPlan::compile(&case).unwrap();
         let mut patched = a.clone();
         patched.set_leaf_confidence(2, 0.123);
-        assert_eq!(a.shape_hash(), patched.shape_hash());
         assert!(a.same_shape(&patched));
 
         let mut reshaped = case.clone();
@@ -935,7 +898,6 @@ mod tests {
         let e = reshaped.add_evidence("E9", "extra", 0.5).unwrap();
         reshaped.support(g, e).unwrap();
         let b = EvalPlan::compile(&reshaped).unwrap();
-        assert_ne!(a.shape_hash(), b.shape_hash());
         assert!(!a.same_shape(&b));
     }
 

@@ -11,9 +11,19 @@ use depcase_assurance::monte_carlo::CHUNK_SAMPLES;
 use depcase_assurance::{templates, Case, Combination, EvalPlan, MonteCarlo, NodeId};
 
 /// Sample counts straddling the 64-sample group, the chunk, a claim of
-/// several chunks with a short tail, and a run of full claims.
-const COUNTS: [u32; 7] =
-    [1, 64, 4095, CHUNK_SAMPLES, CHUNK_SAMPLES + 1, 3 * CHUNK_SAMPLES + 1234, 100_000];
+/// several chunks with a short tail, and runs of full claims: exactly
+/// eight chunks, sixteen chunks and one sample, and 100,000 samples.
+const COUNTS: [u32; 9] = [
+    1,
+    64,
+    4095,
+    CHUNK_SAMPLES,
+    CHUNK_SAMPLES + 1,
+    3 * CHUNK_SAMPLES + 1234,
+    100_000,
+    8 * CHUNK_SAMPLES,
+    16 * CHUNK_SAMPLES + 1,
+];
 
 fn splitmix(state: &mut u64) -> u64 {
     *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
@@ -80,7 +90,7 @@ fn digest(plan: &EvalPlan, samples: u32, threads: usize) -> u64 {
     h
 }
 
-fn check(case: &Case, golden: &[u64; 7]) {
+fn check(case: &Case, golden: &[u64; 9]) {
     let plan = EvalPlan::compile(case).unwrap();
     for (&samples, &want) in COUNTS.iter().zip(golden) {
         for threads in [1, 2] {
@@ -102,6 +112,8 @@ fn template_estimates_match_the_recorded_bits() {
             0xe487_778e_a0cc_f94c,
             0x7faa_8cd0_155b_8388,
             0xd3f9_aba6_b5db_cce8,
+            0xf4ce_2b32_81e4_83cc,
+            0xde50_1ceb_1289_b5f7,
         ],
     );
 }
@@ -120,6 +132,8 @@ fn deep_case_estimates_match_the_recorded_bits() {
             0xf3c0_4607_1bd2_25d3,
             0x7eba_70ff_3715_2b9a,
             0xaacd_750f_07af_41b9,
+            0xddcb_57d2_b400_62a9,
+            0xfa60_e867_f4b2_65b8,
         ],
     );
 }

@@ -62,8 +62,7 @@ use crate::storage_io::{RealIo, StorageIo};
 use crate::telemetry::{self, MetricsRegistry, Telemetry, TlsTracer};
 use crate::wal::{FsyncPolicy, OpRef, RecordRef, Wal, WalOp, WalRecord};
 use depcase::assurance::{
-    importance, Case, ConfidenceReport, EvalPlan, Incremental, MemoStoreStats, MonteCarlo,
-    SharedMemo,
+    Case, ConfidenceReport, EvalPlan, Incremental, MemoStoreStats, MonteCarlo, SharedMemo,
 };
 use depcase::distributions::TwoPoint;
 use depcase::sil::{SilAssessment, SilLevel};
@@ -1133,13 +1132,15 @@ impl Engine {
         })?;
         let record = match at {
             None => return Ok(named.current.clone()),
+            // Versions are appended in order, so `v` sits `v − first`
+            // records in; only a history restored with gaps is scanned.
             Some(EvalAt::Version(v)) => {
-                named.history.iter().find(|r| r.version == *v).ok_or_else(|| {
-                    WireError::new(
-                        ErrorCode::NoSuchVersion,
-                        format!("case `{name}` has no version {v}"),
-                    )
-                })?
+                let at = v.checked_sub(named.history[0].version).and_then(|i| i.try_into().ok());
+                let missing = || format!("case `{name}` has no version {v}");
+                at.and_then(|i: usize| named.history.get(i))
+                    .filter(|r| r.version == *v)
+                    .or_else(|| named.history.iter().find(|r| r.version == *v))
+                    .ok_or_else(|| WireError::new(ErrorCode::NoSuchVersion, missing()))?
             }
             // Most recent version carrying that content (an edited-back
             // case owns its hash at several versions).
@@ -1500,23 +1501,25 @@ impl Engine {
         let entry = self.lookup(name)?;
         // Warm/consult the cache so repeated ranking of an unchanged
         // case is counted like any other cached evaluation; the
-        // session's graph also saves unpacking the registry copy.
+        // session's IR and values also save unpacking the registry copy
+        // and propagating the case again.
         let compiled = self.compiled(&entry)?;
         check_deadline(deadline)?;
-        let ranking = importance::birnbaum_importance(compiled.case()).map_err(lib_error)?;
-        let rows = ranking
-            .into_iter()
-            .map(|li| {
-                Value::Object(vec![
-                    ("name".to_string(), Value::Str(li.name)),
-                    ("confidence".to_string(), Value::F64(li.confidence)),
-                    ("birnbaum".to_string(), Value::F64(li.birnbaum)),
-                    ("gain_if_certain".to_string(), Value::F64(li.gain_if_certain)),
-                ])
-            })
-            .collect();
+        // The rows go straight to text, as the writer would print them.
+        let mut rows = String::from("[");
+        for li in compiled.importance().map_err(lib_error)? {
+            rows.push_str(if rows.len() == 1 { "{\"name\":" } else { ",{\"name\":" });
+            serde_json::push_string(&mut rows, &li.name);
+            let numbers = [li.confidence, li.birnbaum, li.gain_if_certain];
+            for (key, x) in ["confidence", "birnbaum", "gain_if_certain"].into_iter().zip(numbers) {
+                rows.extend([",\"", key, "\":"]);
+                serde_json::push_f64(&mut rows, x);
+            }
+            rows.push('}');
+        }
+        rows.push(']');
         let mut fields = case_header(&entry);
-        fields.push(("evidence".to_string(), Value::Array(rows)));
+        fields.push(("evidence".to_string(), Value::Raw(rows.into())));
         Ok(Value::Object(fields))
     }
 
@@ -1615,23 +1618,18 @@ impl Engine {
                     )
                 })?,
         };
-        let mut estimates = Vec::new();
-        for (id, node) in compiled.case().iter() {
-            if let Some(estimate) = report.estimate(id) {
-                estimates.push(Value::Object(vec![
-                    ("name".to_string(), Value::Str(node.name.clone())),
-                    ("estimate".to_string(), Value::F64(estimate)),
-                    (
-                        "half_width".to_string(),
-                        Value::F64(report.half_width(id).unwrap_or(f64::NAN)),
-                    ),
-                ]));
-            }
-        }
+        let row = |(id, estimate, half_width)| {
+            let node = compiled.case().node(id).expect("targets are nodes of the case");
+            Value::Object(vec![
+                ("name".to_string(), Value::Str(node.name.clone())),
+                ("estimate".to_string(), Value::F64(estimate)),
+                ("half_width".to_string(), Value::F64(half_width)),
+            ])
+        };
         let mut fields = case_header(entry);
         fields.push(("samples".to_string(), Value::U64(u64::from(report.samples()))));
         fields.push(("seed".to_string(), Value::U64(seed)));
-        fields.push(("estimates".to_string(), Value::Array(estimates)));
+        fields.push(("estimates".to_string(), Value::Array(report.rows().map(row).collect())));
         Ok(Value::Object(fields))
     }
 
@@ -2124,6 +2122,39 @@ mod tests {
         assert_eq!(err.code, ErrorCode::NoSuchVersion);
         let err = engine.handle(&Request::History { name: "missing".into() }).unwrap_err();
         assert_eq!(err.code, ErrorCode::UnknownCase);
+    }
+
+    #[test]
+    fn eval_at_version_finds_its_record_in_a_history_with_gaps() {
+        let engine = Engine::new(8);
+        load_demo(&engine, "demo");
+        let at = |v| Request::Eval { name: "demo".into(), at: Some(EvalAt::Version(v)) };
+        let mut answers = vec![engine.handle(&at(1)).unwrap()];
+        for (i, c) in [0.97, 0.80, 0.91, 0.85].into_iter().enumerate() {
+            set_confidence(&engine, "demo", if i % 2 == 0 { "E1" } else { "E2" }, c);
+            answers.push(engine.handle(&at(i as u64 + 2)).unwrap());
+        }
+        // Versions 1 and 3 drop out, as from a history restored with gaps:
+        // every later version sits nearer the front than its number says.
+        let versions: Vec<u64> = {
+            let mut registry = lock_unpoisoned(engine.registry("demo"));
+            let history = &mut registry.cases.get_mut("demo").unwrap().history;
+            history.retain(|r| r.version != 1 && r.version != 3);
+            history.iter().map(|r| r.version).collect()
+        };
+        assert_eq!(versions, [2, 4, 5]);
+        for v in 1..=6u64 {
+            match engine.handle(&at(v)) {
+                Ok(answer) => {
+                    assert!(versions.contains(&v), "version {v} answered");
+                    assert_eq!(answer, answers[v as usize - 1], "version {v}");
+                }
+                Err(e) => {
+                    assert!(!versions.contains(&v), "version {v}: {e:?}");
+                    assert_eq!(e.code, ErrorCode::NoSuchVersion);
+                }
+            }
+        }
     }
 
     #[test]
