@@ -6,15 +6,14 @@
 //! confidence — the classic Birnbaum importance measure, evaluated by
 //! finite differencing the propagation. [`improvement_value`] reports
 //! the absolute gain from driving one leaf to certainty.
-//! The case is propagated once; each leaf then costs O(spine): its
-//! ancestor spine is re-evaluated at 1 and at 0 on the values buffer
-//! and restored. A node's value depends only on its children's, so
-//! each probe is bit-identical to clone, set leaf, propagate.
+//! The case is propagated once; then each group of sibling leaves costs
+//! one walk up its spine in a few lanes of one fold (see [`sweep`]), bit
+//! for bit what clone, set leaf, propagate answers.
 
 use crate::error::{CaseError, Result};
 use crate::graph::{Case, NodeId};
 use crate::ir::{CaseIr, Spine};
-use crate::propagation::{recompute, NodeConfidence};
+use crate::propagation::{fold_ir, recompute, Folds, Lanes, NodeConfidence};
 
 /// One leaf's importance figures.
 #[derive(Debug, Clone, PartialEq)]
@@ -65,7 +64,7 @@ pub fn birnbaum_importance(case: &Case) -> Result<Vec<LeafImportance>> {
     let ir = CaseIr::build(case)?;
     let mut values = vec![None; ir.len()];
     recompute(&ir, ir.topo(), &mut values);
-    Ok(sweep(case, &ir, values))
+    Ok(sweep(case, &ir, &values))
 }
 
 /// Importance analysis needs exactly one root goal.
@@ -74,50 +73,94 @@ pub(crate) fn one_root(roots: usize) -> Result<()> {
     (roots == 1).then_some(()).ok_or_else(|| CaseError::InvalidStructure(message()))
 }
 
-/// The per-leaf spine loop over a single-rooted case's lowered `ir` and
-/// its propagated `values` — what [`birnbaum_importance`] and
-/// [`crate::Incremental::importance`] share.
+/// Every leaf's figures over a single-rooted case's lowered `ir` and its
+/// propagated `values`, most important first: what
+/// [`birnbaum_importance`] and [`crate::Incremental::importance`] share.
+///
+/// The root confidence is multilinear in each leaf, so the secant slope
+/// between leaf = 0 and leaf = 1 is the exact derivative. A group of
+/// leaves shares one walk up one spine: the leaves whose only parent is
+/// `P` walk `P`'s dirty spine, and a leaf with several parents or none
+/// walks alone. A group of `m` runs the independence fold (all the root
+/// is read for) in `2m` lanes, leaf `j` at 1 in lane `2j` and at 0 in
+/// `2j + 1`, a row of lanes per spine node: a spine child reads its row,
+/// a probed leaf its probe, any other child its value in every lane. So
+/// each lane makes the operations of setting its leaf and re-evaluating
+/// the spine.
 pub(crate) fn sweep(
     case: &Case,
     ir: &CaseIr,
-    mut values: Vec<Option<NodeConfidence>>,
+    values: &[Option<NodeConfidence>],
 ) -> Vec<LeafImportance> {
+    // `mark[n]`: spine node `n`'s row, or `PROBE | j` for probed leaf `j`.
+    const OFF: u32 = u32::MAX;
+    const PROBE: u32 = 1 << 31;
     let root = ir.roots()[0] as usize;
-    let base = values[root].expect("the root participates").independent;
-    let mut out = Vec::with_capacity((0..ir.len()).filter(|&i| ir.kind(i).is_leaf()).count());
-    let (mut scratch, mut saved) = (Spine::default(), Vec::new());
-    for i in 0..ir.len() {
-        let Some(conf) = ir.kind(i).confidence() else { continue };
-        let spine = ir.dirty_spine(i, &mut scratch);
-        saved.clear();
-        saved.extend(spine.iter().map(|&n| values[n as usize]));
-        // Birnbaum importance for coherent structures: the root
-        // confidence is multilinear in each leaf, so the exact partial
-        // derivative is the secant slope between leaf = 0 and leaf = 1.
-        let mut probe = |c| {
-            values[i] = Some(NodeConfidence::from_point(c));
-            recompute(ir, &spine[1..], &mut values);
-            values[root].expect("the root participates").independent
-        };
-        let (hi, lo) = (probe(1.0), probe(0.0));
-        for (&n, &v) in spine.iter().zip(&saved) {
-            values[n as usize] = v;
+    let value = |n: u32| values[n as usize].expect("children evaluated before parents");
+    let base = value(root as u32).independent;
+    let name = |n: u32| &case.node_at(n as usize).name;
+    // A name's first eight bytes, zero-padded and read big-endian, order
+    // like the name wherever they differ: most ties in gain need no
+    // string comparison.
+    let head = |n: u32| {
+        let (mut head, bytes) = ([0; 8], name(n).as_bytes());
+        head[..bytes.len().min(8)].copy_from_slice(&bytes[..bytes.len().min(8)]);
+        u64::from_be_bytes(head)
+    };
+    let mut mark = vec![OFF; ir.len()];
+    let mut probes = Vec::with_capacity((0..ir.len()).filter(|&i| ir.kind(i).is_leaf()).count());
+    let (mut rows, mut scratch) = (Vec::new(), Spine::default());
+    for (n, alone) in (0..ir.len() as u32).flat_map(|n| [(n, false), (n, true)]) {
+        let group = if alone { std::slice::from_ref(&n) } else { ir.children(n as usize) };
+        let mut m = 0;
+        for &c in group {
+            if ir.kind(c as usize).is_leaf() && (ir.parents(c as usize).len() == 1) != alone {
+                mark[c as usize] = PROBE | m;
+                m += 1;
+            }
         }
-        out.push(LeafImportance {
-            node: NodeId::from_index(i),
-            name: case.node_at(i).name.clone(),
-            confidence: conf,
-            birnbaum: hi - lo,
-            gain_if_certain: hi - base,
-        });
+        if m == 0 {
+            continue;
+        }
+        let spine = &ir.dirty_spine(n as usize, &mut scratch)[usize::from(alone)..];
+        let w = 2 * m as usize;
+        spine.iter().zip(0..).for_each(|(&s, k)| mark[s as usize] = k);
+        rows.resize(spine.len() * w, 0.0);
+        for (k, &s) in spine.iter().enumerate() {
+            let (done, row) = rows.split_at_mut(k * w);
+            let lanes = |c: u32| match mark[c as usize] {
+                OFF => Lanes::Splat(value(c)),
+                j if j & PROBE != 0 => Lanes::Probe(value(c).independent, 2 * (j ^ PROBE) as usize),
+                k => Lanes::Rows([&done[k as usize * w..][..w], &[], &[]]),
+            };
+            fold_ir(ir, s as usize, Folds::Independent, lanes, [&mut row[..w], &mut [], &mut []]);
+        }
+        let top = (mark[root] != OFF).then(|| &rows[mark[root] as usize * w..][..w]);
+        for &c in group {
+            let j = std::mem::replace(&mut mark[c as usize], OFF);
+            if j != OFF {
+                let l = 2 * (j ^ PROBE) as usize;
+                let (hi, lo) = top.map_or((base, base), |t| (t[l], t[l + 1]));
+                probes.push((hi - base, head(c), c, hi - lo));
+            }
+        }
+        spine.iter().for_each(|&s| mark[s as usize] = OFF);
     }
-    out.sort_by(|a, b| {
-        b.gain_if_certain
-            .partial_cmp(&a.gain_if_certain)
-            .expect("finite gains")
-            .then_with(|| a.name.cmp(&b.name))
+    // Names are unique, so (gain descending, name) is a strict order.
+    probes.sort_unstable_by(|a, b| {
+        let by_gain = b.0.partial_cmp(&a.0).expect("finite gains");
+        by_gain.then(a.1.cmp(&b.1)).then_with(|| name(a.2).cmp(name(b.2)))
     });
-    out
+    probes
+        .into_iter()
+        .map(|(gain_if_certain, _, n, birnbaum)| LeafImportance {
+            node: NodeId::from_index(n as usize),
+            name: name(n).clone(),
+            confidence: ir.kind(n as usize).confidence().expect("probed nodes are leaves"),
+            birnbaum,
+            gain_if_certain,
+        })
+        .collect()
 }
 
 /// The single best leaf to improve: largest root-confidence gain when

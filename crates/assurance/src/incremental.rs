@@ -265,7 +265,7 @@ impl Incremental {
     /// [`CaseError::InvalidStructure`] when there is not exactly one root.
     pub fn importance(&self) -> Result<Vec<LeafImportance>> {
         one_root(self.ir.roots().len())?;
-        Ok(sweep(&self.case, &self.ir, self.report.values.clone()))
+        Ok(sweep(&self.case, &self.ir, &self.report.values))
     }
 
     /// The last edit's dirty spine: the edited node (or retargeted

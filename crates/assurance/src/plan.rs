@@ -15,7 +15,7 @@ use crate::error::{CaseError, Result};
 use crate::graph::{Case, Combination, NodeId};
 use crate::ir::{CaseIr, IrKind};
 use crate::monte_carlo::{CHUNK_SAMPLES, INTERLEAVE};
-use crate::propagation::{ConfidenceReport, NodeConfidence};
+use crate::propagation::{fold, ConfidenceReport, Folds, Lanes, NodeConfidence};
 use crate::trace::Tracer;
 use rand::rngs::{mul_mod, StdRng, WideStdRng};
 use rand::Rng;
@@ -141,21 +141,6 @@ impl EvalPlan {
         case.validate()?;
         let ir = CaseIr::build(case)?;
         Ok(Self::from_ir(&ir))
-    }
-
-    /// [`EvalPlan::compile`] with a `plan_compile` phase reported to
-    /// `tracer`; with [`crate::NoTracer`] the hook inlines away and only
-    /// two clock reads remain.
-    ///
-    /// # Errors
-    ///
-    /// As [`EvalPlan::compile`].
-    pub fn compile_traced<T: Tracer + ?Sized>(case: &Case, tracer: &T) -> Result<Self> {
-        let started = Instant::now();
-        let plan = Self::compile(case)?;
-        tracer.phase("plan_compile", started.elapsed());
-        tracer.count("plan_steps", plan.shape.steps.len() as u64);
-        Ok(plan)
     }
 
     /// Lowers an already-built IR into a plan. The IR's topological
@@ -436,15 +421,12 @@ impl EvalPlan {
     }
 
     /// Analytically propagates a whole batch of same-shape plans in one
-    /// struct-of-arrays pass: per combination step the kernel runs an
-    /// inner loop over the batch lanes (contiguous in memory, so the
-    /// compiler can vectorize it) instead of re-walking the structure
-    /// per case.
-    ///
-    /// Every lane reproduces the scalar kernel's float operations in
-    /// the scalar order, so `propagate_batch(&[p])[0]` is bit-identical
-    /// to propagating `p`'s case directly — the service's batch path
-    /// pins this with `to_bits` tests.
+    /// struct-of-arrays pass: each combination step runs the one combine
+    /// kernel once, a lane per plan, instead of re-walking the structure
+    /// per case. Every lane makes the scalar float operations in the
+    /// scalar order, so `propagate_batch(&[p])[0]` is bit-identical to
+    /// propagating `p`'s case directly — the service's batch path pins
+    /// this with `to_bits` tests.
     ///
     /// # Errors
     ///
@@ -466,206 +448,52 @@ impl EvalPlan {
         tracer: &T,
     ) -> Result<Vec<ConfidenceReport>> {
         let started = Instant::now();
-        let reports = Self::propagate_batch_inner(plans)?;
-        tracer.phase("batch_propagate", started.elapsed());
-        tracer.count("batch_lanes", plans.len() as u64);
-        Ok(reports)
-    }
-
-    fn propagate_batch_inner(plans: &[&EvalPlan]) -> Result<Vec<ConfidenceReport>> {
-        let first = *plans
-            .first()
-            .ok_or_else(|| CaseError::InvalidStructure("empty evaluation batch".into()))?;
+        let invalid = |why: &str| CaseError::InvalidStructure(why.into());
+        let first = *plans.first().ok_or_else(|| invalid("empty evaluation batch"))?;
         if !plans.iter().all(|p| first.same_shape(p)) {
-            return Err(CaseError::InvalidStructure(
-                "batched plans must share one structure".into(),
-            ));
+            return Err(invalid("batched plans must share one structure"));
         }
-        let b = plans.len();
-        let shape = &*first.shape;
-        let slots = shape.slots;
-        // Lane-major SoA confidence arrays: `field[slot * b + lane]`.
-        let mut ind = vec![0.0f64; slots * b];
-        let mut worst = vec![0.0f64; slots * b];
-        let mut best = vec![0.0f64; slots * b];
-        // Leaves are point confidences in all three fields.
+        let (b, shape) = (plans.len(), &*first.shape);
+        // `rows[field][slot * b + lane]`, the fields as in `fold`'s `out`.
+        let mut rows = [(); 3].map(|()| vec![0.0f64; shape.slots * b]);
         for (i, &slot) in shape.leaf_slots.iter().enumerate() {
-            let base = slot as usize * b;
             for (l, p) in plans.iter().enumerate() {
-                let c = p.leaf_confs[i];
-                ind[base + l] = c;
-                worst[base + l] = c;
-                best[base + l] = c;
+                rows.iter_mut().for_each(|row| row[slot as usize * b + l] = p.leaf_confs[i]);
             }
         }
-        // `participates[slot]` ⇔ the report carries a value for it
-        // (context nodes do not, mirroring the scalar propagation).
-        let mut participates = vec![false; slots];
-        for &slot in &shape.leaf_slots {
+        // Context nodes take no part: no node reads them, and the
+        // reports carry no value for them.
+        let mut participates = vec![false; shape.slots];
+        for &slot in shape.leaf_slots.iter().chain(shape.targets.iter().map(|(_, slot)| slot)) {
             participates[slot as usize] = true;
         }
-        // Per-step scratch, one f64 per lane: an accumulator plus the
-        // three doubt fields of the node under combination.
-        let mut acc = vec![0.0f64; b];
-        let mut di = vec![0.0f64; b];
-        let mut dw = vec![0.0f64; b];
-        let mut db = vec![0.0f64; b];
+        let mut out = [(); 3].map(|()| vec![0.0f64; b]);
         for step in &shape.steps {
-            match step {
-                Step::Constant { slot } => {
-                    // Context: certain, but reported as absent.
-                    let base = *slot as usize * b;
-                    for l in 0..b {
-                        ind[base + l] = 1.0;
-                        worst[base + l] = 1.0;
-                        best[base + l] = 1.0;
-                    }
-                }
-                Step::Combine { slot, rule, support, assumptions } => {
-                    participates[*slot as usize] = true;
-                    if support.is_empty() {
-                        // Only assumptions below: vacuous support.
-                        di.fill(0.0);
-                        dw.fill(0.0);
-                        db.fill(0.0);
-                    } else {
-                        match rule {
-                            Combination::AllOf => {
-                                // independent: 1 − Π(1 − xᵢ), x = 1 − conf.
-                                acc.fill(1.0);
-                                for &c in support {
-                                    let cb = c as usize * b;
-                                    for l in 0..b {
-                                        let x = 1.0 - ind[cb + l];
-                                        acc[l] *= 1.0 - x;
-                                    }
-                                }
-                                for l in 0..b {
-                                    di[l] = 1.0 - acc[l];
-                                }
-                                // worst: min(1, Σxᵢ).
-                                acc.fill(0.0);
-                                for &c in support {
-                                    let cb = c as usize * b;
-                                    for l in 0..b {
-                                        acc[l] += 1.0 - worst[cb + l];
-                                    }
-                                }
-                                for l in 0..b {
-                                    dw[l] = acc[l].min(1.0);
-                                }
-                                // best: max(xᵢ) folded from 0.
-                                acc.fill(0.0);
-                                for &c in support {
-                                    let cb = c as usize * b;
-                                    for l in 0..b {
-                                        acc[l] = acc[l].max(1.0 - best[cb + l]);
-                                    }
-                                }
-                                db.copy_from_slice(&acc);
-                            }
-                            Combination::AnyOf => {
-                                // independent: Π xᵢ.
-                                acc.fill(1.0);
-                                for &c in support {
-                                    let cb = c as usize * b;
-                                    for l in 0..b {
-                                        acc[l] *= 1.0 - ind[cb + l];
-                                    }
-                                }
-                                di.copy_from_slice(&acc);
-                                // worst: min(xᵢ) folded from +∞.
-                                acc.fill(f64::INFINITY);
-                                for &c in support {
-                                    let cb = c as usize * b;
-                                    for l in 0..b {
-                                        acc[l] = acc[l].min(1.0 - worst[cb + l]);
-                                    }
-                                }
-                                dw.copy_from_slice(&acc);
-                                // best: max(0, Σxᵢ − (k − 1)).
-                                acc.fill(0.0);
-                                for &c in support {
-                                    let cb = c as usize * b;
-                                    for l in 0..b {
-                                        acc[l] += 1.0 - best[cb + l];
-                                    }
-                                }
-                                let k = support.len() as f64;
-                                for l in 0..b {
-                                    db[l] = (acc[l] - (k - 1.0)).max(0.0);
-                                }
-                            }
-                        }
-                    }
-                    if !assumptions.is_empty() {
-                        // Conjoin assumptions: AllOf over the support
-                        // doubt followed by each assumption's doubt, in
-                        // exactly the scalar kernel's order.
-                        acc.fill(1.0);
-                        for l in 0..b {
-                            acc[l] *= 1.0 - di[l];
-                        }
-                        for &a in assumptions {
-                            let ab = a as usize * b;
-                            for l in 0..b {
-                                let x = 1.0 - ind[ab + l];
-                                acc[l] *= 1.0 - x;
-                            }
-                        }
-                        for l in 0..b {
-                            di[l] = 1.0 - acc[l];
-                        }
-                        acc.fill(0.0);
-                        for l in 0..b {
-                            acc[l] += dw[l];
-                        }
-                        for &a in assumptions {
-                            let ab = a as usize * b;
-                            for l in 0..b {
-                                acc[l] += 1.0 - worst[ab + l];
-                            }
-                        }
-                        for l in 0..b {
-                            dw[l] = acc[l].min(1.0);
-                        }
-                        acc.fill(0.0);
-                        for l in 0..b {
-                            acc[l] = acc[l].max(db[l]);
-                        }
-                        for &a in assumptions {
-                            let ab = a as usize * b;
-                            for l in 0..b {
-                                acc[l] = acc[l].max(1.0 - best[ab + l]);
-                            }
-                        }
-                        db.copy_from_slice(&acc);
-                    }
-                    let base = *slot as usize * b;
-                    for l in 0..b {
-                        ind[base + l] = 1.0 - di[l];
-                        worst[base + l] = 1.0 - dw[l];
-                        best[base + l] = 1.0 - db[l];
-                    }
-                }
+            let Step::Combine { slot, rule, support, assumptions } = step else { continue };
+            let lanes = |c: u32| Lanes::Rows([0, 1, 2].map(|f| &rows[f][c as usize * b..][..b]));
+            let [ind, worst, best] = &mut out;
+            let (support, assumptions) = (support.iter().copied(), assumptions.iter().copied());
+            fold(*rule, support, assumptions, Folds::All, lanes, [ind, worst, best]);
+            for (row, lanes) in rows.iter_mut().zip(&out) {
+                row[*slot as usize * b..][..b].copy_from_slice(lanes);
             }
         }
         let roots: Vec<NodeId> =
             shape.roots.iter().map(|&r| NodeId::from_index(r as usize)).collect();
-        Ok((0..b)
-            .map(|l| {
-                let values = (0..slots)
-                    .map(|slot| {
-                        participates[slot].then(|| NodeConfidence {
-                            independent: ind[slot * b + l],
-                            worst_case: worst[slot * b + l],
-                            best_case: best[slot * b + l],
-                        })
-                    })
-                    .collect();
-                ConfidenceReport { values, roots: roots.clone() }
+        let [ind, wst, bst] = [0, 1, 2].map(|f| &rows[f]);
+        let value =
+            |at| NodeConfidence { independent: ind[at], worst_case: wst[at], best_case: bst[at] };
+        let reports = (0..b)
+            .map(|l| ConfidenceReport {
+                values: (0..shape.slots)
+                    .map(|s| participates[s].then(|| value(s * b + l)))
+                    .collect(),
+                roots: roots.clone(),
             })
-            .collect())
+            .collect();
+        tracer.phase("batch_propagate", started.elapsed());
+        tracer.count("batch_lanes", plans.len() as u64);
+        Ok(reports)
     }
 
     /// Runs a Monte-Carlo estimate on this pre-compiled plan — the

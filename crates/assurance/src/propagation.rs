@@ -36,20 +36,6 @@ pub struct NodeConfidence {
 }
 
 impl NodeConfidence {
-    pub(crate) fn certain() -> Self {
-        Self { independent: 1.0, worst_case: 1.0, best_case: 1.0 }
-    }
-
-    pub(crate) fn from_point(confidence: f64) -> Self {
-        Self { independent: confidence, worst_case: confidence, best_case: confidence }
-    }
-
-    /// The doubt view (`1 − confidence`) of the independent estimate.
-    #[must_use]
-    pub fn independent_doubt(&self) -> f64 {
-        1.0 - self.independent
-    }
-
     /// Width of the dependence interval — how much unknown dependence
     /// between doubt sources matters for this node.
     #[must_use]
@@ -117,19 +103,144 @@ impl ConfidenceReport {
     }
 }
 
-/// The one evaluation kernel: node `i`'s confidence from its children's
-/// values, streamed off the IR's CSR row with no allocation. Full
-/// propagation, the incremental spine and the importance sweep all make
-/// their floats here, so their answers are bit-identical.
+/// The folds a lane pass runs: the independence estimate alone (all the
+/// importance sweep reads), or with both dependence bounds.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Folds {
+    Independent,
+    All,
+}
+
+/// One child's confidence in every lane of a [`fold`].
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Lanes<'a> {
+    /// The same value in every lane.
+    Splat(NodeConfidence),
+    /// Rows of `[independent, worst_case, best_case]`, lane `l` at `l`.
+    Rows([&'a [f64]; 3]),
+    /// `Probe(c, l)`: a leaf of confidence `c`, 1 in lane `l`, 0 in `l + 1`.
+    Probe(f64, usize),
+}
+
+/// The one combine kernel: a node's confidence from its children's, in
+/// `W` lanes at once (the length of `out`'s rows), with no allocation.
+/// Propagation and the incremental spine run it at `W = 1`, the batch at
+/// the batch size and the importance sweep at twice the leaves under one
+/// parent, so all their answers are bit-identical.
 ///
-/// With doubt `x = 1 − confidence`, the support (non-assumption
-/// children) folds under the node's rule in child order: AllOf takes
-/// `1 − Π(1 − xᵢ)`, `min(1, Σxᵢ)` and `max(xᵢ)` from 0; AnyOf takes
-/// `Πxᵢ`, `min(xᵢ)` from +∞ and `max(0, Σxᵢ − (k − 1))`. Products start
-/// at 1 and sums at −0.0, as `Iterator::product`/`sum` do. Assumptions
-/// then conjoin (AllOf) over `[support doubt, assumption doubts…]`. The
-/// three folds never read each other, so running them side by side in
-/// one pass keeps each fold's operation sequence, and so every bit.
+/// With doubt `x = 1 − confidence`, the `support` folds under `rule` in
+/// order: AllOf takes `1 − Π(1 − xᵢ)`, `min(1, Σxᵢ)` and `max(xᵢ)` from
+/// 0; AnyOf takes `Πxᵢ`, `min(xᵢ)` from +∞ and `max(0, Σxᵢ − (k − 1))`.
+/// Products start at 1 and sums at −0.0, as `Iterator::product`/`sum`
+/// do. The `assumptions` then conjoin (AllOf) over `[support doubt,
+/// assumption doubts…]`. Child-outer and lane-inner, each lane makes the
+/// scalar operations in the scalar order while the lane loops vectorize.
+/// The folds never read each other: [`Folds::Independent`] leaves `out`'s
+/// other rows (which may be empty) untouched.
+#[inline(always)]
+pub(crate) fn fold<'a>(
+    rule: Combination,
+    support: impl Iterator<Item = u32>,
+    assumptions: impl Iterator<Item = u32>,
+    folds: Folds,
+    child: impl Fn(u32) -> Lanes<'a>,
+    [ind, worst, best]: [&mut [f64]; 3],
+) {
+    let any_of = rule == Combination::AnyOf;
+    let [worst, best] = if folds == Folds::All { [worst, best] } else { [&mut [][..], &mut []] };
+    ind.fill(1.0);
+    worst.fill(if any_of { f64::INFINITY } else { -0.0 });
+    best.fill(if any_of { -0.0 } else { 0.0 });
+    let mut k = 0u32;
+    for v in support.map(&child) {
+        k += 1;
+        if any_of {
+            each(ind, v, 0, |a, x| *a *= 1.0 - x);
+            each(worst, v, 1, |a, x| *a = f64::min(*a, 1.0 - x));
+            each(best, v, 2, |a, x| *a += 1.0 - x);
+        } else {
+            conjoin([ind, worst, best], v);
+        }
+    }
+    let k = f64::from(k);
+    if k == 0.0 {
+        // Only assumptions below: vacuous support.
+        [&mut *ind, &mut *worst, &mut *best].into_iter().for_each(|row| row.fill(0.0));
+    } else if any_of {
+        map(best, |a| (a - (k - 1.0)).max(0.0));
+    } else {
+        map(ind, |a| 1.0 - a);
+        map(worst, |a| a.min(1.0));
+    }
+    let mut assumptions = assumptions.map(&child).peekable();
+    if assumptions.peek().is_some() {
+        map(ind, |a| 1.0 * (1.0 - a));
+        map(worst, |a| -0.0 + a);
+        map(best, |a| f64::max(0.0, a));
+        assumptions.for_each(|v| conjoin([ind, worst, best], v));
+        map(ind, |a| 1.0 - a);
+        map(worst, |a| a.min(1.0));
+    }
+    [ind, worst, best].into_iter().for_each(|row| map(row, |a| 1.0 - a));
+}
+
+/// One conjunctive (AllOf) step of `v`'s doubts into the accumulators.
+#[inline(always)]
+fn conjoin([ind, worst, best]: [&mut [f64]; 3], v: Lanes<'_>) {
+    each(ind, v, 0, |a, x| *a *= 1.0 - (1.0 - x));
+    each(worst, v, 1, |a, x| *a += 1.0 - x);
+    each(best, v, 2, |a, x| *a = f64::max(*a, 1.0 - x));
+}
+
+/// `op(lane, x)` in every lane of `acc`, `x` being the lane's `field` of
+/// `v` (0 independent, 1 worst case, 2 best case).
+#[inline(always)]
+fn each(acc: &mut [f64], v: Lanes<'_>, field: usize, op: impl Fn(&mut f64, f64)) {
+    match v {
+        _ if acc.is_empty() => {}
+        Lanes::Splat(c) => {
+            let x = [c.independent, c.worst_case, c.best_case][field];
+            acc.iter_mut().for_each(|a| op(a, x));
+        }
+        Lanes::Rows(rows) => acc.iter_mut().zip(rows[field]).for_each(|(a, &x)| op(a, x)),
+        Lanes::Probe(c, l) => {
+            let (head, tail) = acc.split_at_mut(l);
+            head.iter_mut().for_each(|a| op(a, c));
+            op(&mut tail[0], 1.0);
+            op(&mut tail[1], 0.0);
+            tail[2..].iter_mut().for_each(|a| op(a, c));
+        }
+    }
+}
+
+#[inline(always)]
+fn map(row: &mut [f64], f: impl Fn(f64) -> f64) {
+    row.iter_mut().for_each(|a| *a = f(*a));
+}
+
+/// [`fold`] over the children of IR node `i`. A leaf is its own point
+/// value, supported or not; a context node has no children, so it folds
+/// to certain.
+#[inline(always)]
+pub(crate) fn fold_ir<'a>(
+    ir: &CaseIr,
+    i: usize,
+    folds: Folds,
+    child: impl Fn(u32) -> Lanes<'a>,
+    out: [&mut [f64]; 3],
+) {
+    if let Some(c) = ir.kind(i).confidence() {
+        return out.into_iter().for_each(|row| row.fill(c));
+    }
+    let rule = if let IrKind::Strategy(rule) = ir.kind(i) { rule } else { Combination::AllOf };
+    let assumption = |c: &u32| matches!(ir.kind(*c as usize), IrKind::Assumption(_));
+    let children = ir.children(i).iter().copied();
+    let support = children.clone().filter(|c| !assumption(c));
+    fold(rule, support, children.filter(assumption), folds, child, out);
+}
+
+/// Node `i`'s confidence: [`fold_ir`] at `W = 1` over its children's
+/// `values`.
 ///
 /// # Panics
 ///
@@ -140,52 +251,15 @@ pub(crate) fn eval_node(
     i: usize,
     values: &[Option<NodeConfidence>],
 ) -> NodeConfidence {
-    let rule = match ir.kind(i) {
-        IrKind::Evidence(c) | IrKind::Assumption(c) => return NodeConfidence::from_point(c),
-        IrKind::Context => return NodeConfidence::certain(),
-        IrKind::Goal => Combination::AllOf,
-        IrKind::Strategy(rule) => rule,
-    };
-    let any_of = rule == Combination::AnyOf;
-    let assumption = |c: &&u32| matches!(ir.kind(**c as usize), IrKind::Assumption(_));
-    let value = |c: &u32| values[*c as usize].expect("children evaluated before parents");
-    let (mut k, mut ind) = (0u32, 1.0);
-    let (mut worst, mut best) = if any_of { (f64::INFINITY, -0.0) } else { (-0.0, 0.0) };
-    for v in ir.children(i).iter().filter(|c| !assumption(c)).map(value) {
-        k += 1;
-        if any_of {
-            ind *= 1.0 - v.independent;
-            worst = f64::min(worst, 1.0 - v.worst_case);
-            best += 1.0 - v.best_case;
-        } else {
-            ind *= 1.0 - (1.0 - v.independent);
-            worst += 1.0 - v.worst_case;
-            best = f64::max(best, 1.0 - v.best_case);
-        }
-    }
-    (ind, worst, best) = match rule {
-        // Only assumptions below: vacuous support.
-        _ if k == 0 => (0.0, 0.0, 0.0),
-        Combination::AllOf => (1.0 - ind, worst.min(1.0), best),
-        Combination::AnyOf => (ind, worst, (best - (f64::from(k) - 1.0)).max(0.0)),
-    };
-    let mut conjoin = None;
-    for v in ir.children(i).iter().filter(assumption).map(value) {
-        let (p, s, m) =
-            conjoin.get_or_insert((1.0 * (1.0 - ind), -0.0 + worst, f64::max(0.0, best)));
-        *p *= 1.0 - (1.0 - v.independent);
-        *s += 1.0 - v.worst_case;
-        *m = f64::max(*m, 1.0 - v.best_case);
-    }
-    if let Some((p, s, m)) = conjoin {
-        (ind, worst, best) = (1.0 - p, s.min(1.0), m);
-    }
-    NodeConfidence { independent: 1.0 - ind, worst_case: 1.0 - worst, best_case: 1.0 - best }
+    let value =
+        |c: u32| Lanes::Splat(values[c as usize].expect("children evaluated before parents"));
+    let [mut ind, mut worst, mut best] = [[0.0]; 3];
+    fold_ir(ir, i, Folds::All, value, [&mut ind, &mut worst, &mut best]);
+    NodeConfidence { independent: ind[0], worst_case: worst[0], best_case: best[0] }
 }
 
 /// Re-evaluates `nodes` in place, in the order given (children before
-/// parents). Context nodes keep no value. Full propagation passes the
-/// whole topological order; the importance sweep passes one spine.
+/// parents, as the topological order is). Context nodes keep no value.
 pub(crate) fn recompute(ir: &CaseIr, nodes: &[u32], values: &mut [Option<NodeConfidence>]) {
     for &n in nodes {
         let n = n as usize;

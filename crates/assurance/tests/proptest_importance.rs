@@ -1,14 +1,21 @@
 //! Differential test for the importance sweep.
 //!
-//! `birnbaum_importance` re-evaluates only each leaf's ancestor spine on
-//! one values buffer. Its answers must be bit-identical (`f64::to_bits`)
-//! to the naive algorithm — clone the case, set the leaf, propagate from
-//! scratch — for every leaf of every case: random DAGs of up to ~300
-//! nodes with shared supporters, assumptions at several levels, context
-//! nodes and both combination rules, plus every fleet template.
+//! `birnbaum_importance` probes leaves in sibling groups, several lanes
+//! of one fold per spine node. Its answers must be bit-identical
+//! (`f64::to_bits`) to the naive algorithm — clone the case, set the
+//! leaf, propagate from scratch — for every leaf of every case, and
+//! `Incremental::importance` must answer the same bits: random DAGs of up
+//! to ~300 nodes with shared supporters, assumptions at several levels,
+//! context nodes and both combination rules; the same DAGs widened with
+//! what they rarely draw (a sibling group of 20–40 leaves, a leaf shared
+//! by two parents, an orphan leaf, a node supported only by
+//! assumptions, an AnyOf with one support child, an assumption that
+//! supports a leaf); plus every fleet template.
 
 use depcase_assurance::templates::{template, TEMPLATE_COUNT};
-use depcase_assurance::{birnbaum_importance, Case, Combination, NodeId, NodeKind};
+use depcase_assurance::{
+    birnbaum_importance, Case, Combination, Incremental, LeafImportance, NodeId, NodeKind,
+};
 use proptest::prelude::*;
 
 /// SplitMix64: the generator's only source of variation, so a case is a
@@ -80,13 +87,71 @@ fn random_case(seed: u64, size: usize) -> Case {
     case
 }
 
+/// `case` with what [`random_case`] rarely draws, from a second stream
+/// of `seed`: a sibling group wider than any lane block (20–40 leaves,
+/// assumptions among them), a leaf shared by two parents, an orphan
+/// evidence leaf, a goal supported only by assumptions, an AnyOf with one
+/// support child and an assumption that supports a leaf of its own.
+fn widened(mut case: Case, seed: u64) -> Case {
+    let mut rng = seed ^ 0x3c6e_f372_fe94_f82b;
+    let interior: Vec<NodeId> = case
+        .iter()
+        .filter(|(_, n)| matches!(n.kind, NodeKind::Goal | NodeKind::Strategy(_)))
+        .map(|(id, _)| id)
+        .collect();
+    let pick = |rng: &mut u64| interior[below(rng, interior.len())];
+    let conf = |rng: &mut u64| (next(rng) >> 11) as f64 / (1u64 << 53) as f64;
+    let wide = pick(&mut rng);
+    for k in 0..20 + below(&mut rng, 21) {
+        let c = conf(&mut rng);
+        let leaf = if below(&mut rng, 4) == 0 {
+            case.add_assumption(format!("W{k}"), "assumed", c)
+        } else {
+            case.add_evidence(format!("W{k}"), "evidence", c)
+        };
+        case.support(wide, leaf.unwrap()).unwrap();
+    }
+    let shared = case.add_evidence("X_shared", "evidence", conf(&mut rng)).unwrap();
+    case.support(pick(&mut rng), shared).unwrap();
+    case.support(pick(&mut rng), shared).unwrap();
+    case.add_evidence("X_orphan", "evidence", conf(&mut rng)).unwrap();
+    let assumed = case.add_goal("X_assumed", "claim").unwrap();
+    case.support(pick(&mut rng), assumed).unwrap();
+    for k in 0..1 + below(&mut rng, 3) {
+        let a = case.add_assumption(format!("X_a{k}"), "assumed", conf(&mut rng)).unwrap();
+        case.support(assumed, a).unwrap();
+    }
+    let legs = case.add_strategy("X_legs", "any", Combination::AnyOf).unwrap();
+    case.support(pick(&mut rng), legs).unwrap();
+    let leg = case.add_evidence("X_leg", "evidence", conf(&mut rng)).unwrap();
+    case.support(legs, leg).unwrap();
+    let base = case.add_assumption("X_base", "assumed", conf(&mut rng)).unwrap();
+    case.support(pick(&mut rng), base).unwrap();
+    let on_base = case.add_evidence("X_on_base", "evidence", conf(&mut rng)).unwrap();
+    case.support(base, on_base).unwrap();
+    case
+}
+
+/// True when two rankings list the same leaves with the same bits.
+fn same_bits(a: &[LeafImportance], b: &[LeafImportance]) -> bool {
+    let bits = |l: &LeafImportance| {
+        (l.node, l.name.clone(), [l.confidence, l.birnbaum, l.gain_if_certain].map(f64::to_bits))
+    };
+    a.len() == b.len() && a.iter().zip(b).all(|(x, y)| bits(x) == bits(y))
+}
+
 /// Checks every leaf's `birnbaum` and `gain_if_certain` bits against
-/// clone → `set_leaf_confidence` → `propagate`.
+/// clone → `set_leaf_confidence` → `propagate`, and that
+/// `Incremental::importance` answers the same ranking bit for bit.
 fn matches_clone_and_propagate(case: &Case) -> Result<usize, String> {
     let root = case.roots()[0];
     let top = |c: &Case| c.propagate().unwrap().confidence(root).unwrap().independent;
     let base = top(case);
     let ranking = birnbaum_importance(case).map_err(|e| e.to_string())?;
+    let session = Incremental::new(case.clone()).and_then(|s| s.importance());
+    if !same_bits(&ranking, &session.map_err(|e| e.to_string())?) {
+        return Err("Incremental::importance differs from birnbaum_importance".into());
+    }
     for leaf in &ranking {
         let probe = |conf: f64| {
             let mut copy = case.clone();
@@ -133,5 +198,9 @@ proptest! {
         prop_assert!(case.validate().is_ok(), "generator built an invalid case");
         let checked = matches_clone_and_propagate(&case);
         prop_assert!(checked.is_ok(), "seed {seed}, size {size}: {:?}", checked.err());
+        let wide = widened(case, seed);
+        prop_assert!(wide.validate().is_ok(), "widening built an invalid case");
+        let checked = matches_clone_and_propagate(&wide);
+        prop_assert!(checked.is_ok(), "seed {seed}, size {size}, widened: {:?}", checked.err());
     }
 }

@@ -72,7 +72,8 @@ use std::num::NonZeroUsize;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::TrySendError;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, OnceLock};
+use std::thread::available_parallelism;
 use std::time::{Duration, Instant};
 
 /// Fails with `deadline_exceeded` once `deadline` has passed. Called
@@ -1505,21 +1506,12 @@ impl Engine {
         // and propagating the case again.
         let compiled = self.compiled(&entry)?;
         check_deadline(deadline)?;
-        // The rows go straight to text, as the writer would print them.
-        let mut rows = String::from("[");
-        for li in compiled.importance().map_err(lib_error)? {
-            rows.push_str(if rows.len() == 1 { "{\"name\":" } else { ",{\"name\":" });
-            serde_json::push_string(&mut rows, &li.name);
-            let numbers = [li.confidence, li.birnbaum, li.gain_if_certain];
-            for (key, x) in ["confidence", "birnbaum", "gain_if_certain"].into_iter().zip(numbers) {
-                rows.extend([",\"", key, "\":"]);
-                serde_json::push_f64(&mut rows, x);
-            }
-            rows.push('}');
-        }
-        rows.push(']');
+        let ranking = compiled.importance().map_err(lib_error)?;
+        let rows =
+            ranking.iter().map(|l| (&*l.name, [l.confidence, l.birnbaum, l.gain_if_certain]));
         let mut fields = case_header(&entry);
-        fields.push(("evidence".to_string(), Value::Raw(rows.into())));
+        let keys = ["confidence", "birnbaum", "gain_if_certain"];
+        fields.push(("evidence".to_string(), named_rows(keys, rows)));
         Ok(Value::Object(fields))
     }
 
@@ -1618,18 +1610,13 @@ impl Engine {
                     )
                 })?,
         };
-        let row = |(id, estimate, half_width)| {
-            let node = compiled.case().node(id).expect("targets are nodes of the case");
-            Value::Object(vec![
-                ("name".to_string(), Value::Str(node.name.clone())),
-                ("estimate".to_string(), Value::F64(estimate)),
-                ("half_width".to_string(), Value::F64(half_width)),
-            ])
-        };
+        let name = |id| &*compiled.case().node(id).expect("targets are nodes of the case").name;
+        let rows =
+            report.rows().map(|(id, estimate, half_width)| (name(id), [estimate, half_width]));
         let mut fields = case_header(entry);
         fields.push(("samples".to_string(), Value::U64(u64::from(report.samples()))));
         fields.push(("seed".to_string(), Value::U64(seed)));
-        fields.push(("estimates".to_string(), Value::Array(report.rows().map(row).collect())));
+        fields.push(("estimates".to_string(), named_rows(["estimate", "half_width"], rows)));
         Ok(Value::Object(fields))
     }
 
@@ -1666,24 +1653,15 @@ impl Engine {
         let mut fields = case_header(&entry);
         fields.push(("root_confidence".to_string(), Value::F64(top.independent)));
         fields.push(("pfd_bound".to_string(), Value::F64(pfd_bound)));
-        fields.push((
-            "mode".to_string(),
-            Value::Str(
-                match mode {
-                    depcase::sil::DemandMode::LowDemand => "low_demand",
-                    depcase::sil::DemandMode::HighDemand => "high_demand",
-                }
-                .to_string(),
-            ),
-        ));
+        let mode = match mode {
+            depcase::sil::DemandMode::LowDemand => "low_demand",
+            depcase::sil::DemandMode::HighDemand => "high_demand",
+        };
+        fields.push(("mode".to_string(), Value::Str(mode.to_string())));
         fields.push(("bands".to_string(), Value::Array(rows)));
-        fields.push((
-            "most_probable".to_string(),
-            match probabilities.most_probable() {
-                Some(level) => Value::Str(level.to_string()),
-                None => Value::Null,
-            },
-        ));
+        let most_probable =
+            probabilities.most_probable().map(|level| Value::Str(level.to_string()));
+        fields.push(("most_probable".to_string(), most_probable.unwrap_or(Value::Null)));
         Ok(Value::Object(fields))
     }
 
@@ -1788,7 +1766,7 @@ fn verify_all(
     let verify = |batch: Vec<(u64, std::io::Result<String>)>| {
         batch.into_iter().map(|(hash, read)| (hash, verify_object(hash, read)))
     };
-    let threads = std::thread::available_parallelism().map_or(1, NonZeroUsize::get);
+    let threads = available_parallelism().map_or(1, NonZeroUsize::get);
     let (tx, rx) = std::sync::mpsc::sync_channel(threads);
     let rx = Mutex::new(rx);
     let help = || {
@@ -1823,10 +1801,12 @@ fn verify_all(
 }
 
 /// The workers an `mc` request's `threads` buys: at most one per core
-/// (0 leaves the library to pick one per core). Answers do not depend on
-/// the count, so the wire accepts any number and the engine caps it.
+/// (0 leaves the library to pick one per core), the cores counted once
+/// per process. Answers do not depend on the count, so the wire accepts
+/// any number and the engine caps it.
 fn mc_threads(requested: usize) -> usize {
-    requested.min(std::thread::available_parallelism().map_or(1, NonZeroUsize::get))
+    static CORES: OnceLock<usize> = OnceLock::new();
+    requested.min(*CORES.get_or_init(|| available_parallelism().map_or(1, NonZeroUsize::get)))
 }
 
 /// True for requests that commit a new case version (the batch
@@ -1869,6 +1849,26 @@ fn cached_eval_value(entry: &CaseEntry, cached: &Cached) -> Value {
     eval_value(entry, cached.as_report(), cached.nodes())
 }
 
+/// `[{"name":…,"key":x,…},…]` for `(name, numbers)` rows, written as the
+/// writer would print the tree, so a coalesced answer shares it by count.
+fn named_rows<'a, const N: usize>(
+    keys: [&str; N],
+    rows: impl Iterator<Item = (&'a str, [f64; N])>,
+) -> Value {
+    let mut text = String::from("[");
+    for (name, numbers) in rows {
+        text.push_str(if text.len() == 1 { "{\"name\":" } else { ",{\"name\":" });
+        serde_json::push_string(&mut text, name);
+        for (key, x) in keys.into_iter().zip(numbers) {
+            text.extend([",\"", key, "\":"]);
+            serde_json::push_f64(&mut text, x);
+        }
+        text.push('}');
+    }
+    text.push(']');
+    Value::Raw(text.into())
+}
+
 fn case_header(entry: &CaseEntry) -> Vec<(String, Value)> {
     vec![
         ("case".to_string(), Value::Str(entry.case.title.to_string())),
@@ -1909,6 +1909,12 @@ mod tests {
                 action: EditAction::SetConfidence { node: node.to_string(), confidence },
             })
             .unwrap()
+    }
+
+    /// An answer as a client reads it: rendered, then parsed back, so
+    /// parts written straight to text have structure again.
+    fn rendered(value: &Value) -> Value {
+        serde_json::value_from_str(&serde_json::value_to_string(value)).unwrap()
     }
 
     fn root_bits(value: &Value) -> u64 {
@@ -1969,7 +1975,7 @@ mod tests {
         let case = Case::from_value(&demo_case_value()).unwrap();
         let direct = MonteCarlo::new(20_000).seed(7).threads(2).run(&case).unwrap();
         let g = case.node_by_name("G").unwrap();
-        let wire_estimate = result
+        let wire_estimate = rendered(&result)
             .get("estimates")
             .and_then(Value::as_array)
             .unwrap()
@@ -2008,7 +2014,7 @@ mod tests {
             )
             .unwrap();
         let estimate = |v: &Value| {
-            v.get("estimates").and_then(Value::as_array).unwrap()[0]
+            rendered(v).get("estimates").and_then(Value::as_array).unwrap()[0]
                 .get("estimate")
                 .and_then(Value::as_f64)
                 .unwrap()
