@@ -13,7 +13,7 @@
 use crate::error::{CaseError, Result};
 use crate::graph::{Case, NodeId};
 use crate::ir::{CaseIr, Spine};
-use crate::propagation::{fold_ir, recompute, Folds, Lanes, NodeConfidence};
+use crate::propagation::{fold_ir, recompute, Lanes, NodeConfidence};
 
 /// One leaf's importance figures.
 #[derive(Debug, Clone, PartialEq)]
@@ -99,14 +99,6 @@ pub(crate) fn sweep(
     let value = |n: u32| values[n as usize].expect("children evaluated before parents");
     let base = value(root as u32).independent;
     let name = |n: u32| &case.node_at(n as usize).name;
-    // A name's first eight bytes, zero-padded and read big-endian, order
-    // like the name wherever they differ: most ties in gain need no
-    // string comparison.
-    let head = |n: u32| {
-        let (mut head, bytes) = ([0; 8], name(n).as_bytes());
-        head[..bytes.len().min(8)].copy_from_slice(&bytes[..bytes.len().min(8)]);
-        u64::from_be_bytes(head)
-    };
     let mut mark = vec![OFF; ir.len()];
     let mut probes = Vec::with_capacity((0..ir.len()).filter(|&i| ir.kind(i).is_leaf()).count());
     let (mut rows, mut scratch) = (Vec::new(), Spine::default());
@@ -133,7 +125,7 @@ pub(crate) fn sweep(
                 j if j & PROBE != 0 => Lanes::Probe(value(c).independent, 2 * (j ^ PROBE) as usize),
                 k => Lanes::Rows([&done[k as usize * w..][..w], &[], &[]]),
             };
-            fold_ir(ir, s as usize, Folds::Independent, lanes, [&mut row[..w], &mut [], &mut []]);
+            fold_ir(ir, s as usize, lanes, [&mut row[..w], &mut [], &mut []]);
         }
         let top = (mark[root] != OFF).then(|| &rows[mark[root] as usize * w..][..w]);
         for &c in group {
@@ -141,19 +133,18 @@ pub(crate) fn sweep(
             if j != OFF {
                 let l = 2 * (j ^ PROBE) as usize;
                 let (hi, lo) = top.map_or((base, base), |t| (t[l], t[l + 1]));
-                probes.push((hi - base, head(c), c, hi - lo));
+                probes.push((hi - base, c, hi - lo));
             }
         }
         spine.iter().for_each(|&s| mark[s as usize] = OFF);
     }
     // Names are unique, so (gain descending, name) is a strict order.
     probes.sort_unstable_by(|a, b| {
-        let by_gain = b.0.partial_cmp(&a.0).expect("finite gains");
-        by_gain.then(a.1.cmp(&b.1)).then_with(|| name(a.2).cmp(name(b.2)))
+        b.0.partial_cmp(&a.0).expect("finite gains").then_with(|| name(a.1).cmp(name(b.1)))
     });
     probes
         .into_iter()
-        .map(|(gain_if_certain, _, n, birnbaum)| LeafImportance {
+        .map(|(gain_if_certain, n, birnbaum)| LeafImportance {
             node: NodeId::from_index(n as usize),
             name: name(n).clone(),
             confidence: ir.kind(n as usize).confidence().expect("probed nodes are leaves"),

@@ -15,7 +15,7 @@ use crate::error::{CaseError, Result};
 use crate::graph::{Case, Combination, NodeId};
 use crate::ir::{CaseIr, IrKind};
 use crate::monte_carlo::{CHUNK_SAMPLES, INTERLEAVE};
-use crate::propagation::{fold, ConfidenceReport, Folds, Lanes, NodeConfidence};
+use crate::propagation::{fold, ConfidenceReport, Lanes, NodeConfidence};
 use crate::trace::Tracer;
 use rand::rngs::{mul_mod, StdRng, WideStdRng};
 use rand::Rng;
@@ -473,7 +473,7 @@ impl EvalPlan {
             let lanes = |c: u32| Lanes::Rows([0, 1, 2].map(|f| &rows[f][c as usize * b..][..b]));
             let [ind, worst, best] = &mut out;
             let (support, assumptions) = (support.iter().copied(), assumptions.iter().copied());
-            fold(*rule, support, assumptions, Folds::All, lanes, [ind, worst, best]);
+            fold(*rule, support, assumptions, lanes, [ind, worst, best]);
             for (row, lanes) in rows.iter_mut().zip(&out) {
                 row[*slot as usize * b..][..b].copy_from_slice(lanes);
             }

@@ -103,14 +103,6 @@ impl ConfidenceReport {
     }
 }
 
-/// The folds a lane pass runs: the independence estimate alone (all the
-/// importance sweep reads), or with both dependence bounds.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Folds {
-    Independent,
-    All,
-}
-
 /// One child's confidence in every lane of a [`fold`].
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum Lanes<'a> {
@@ -135,19 +127,17 @@ pub(crate) enum Lanes<'a> {
 /// do. The `assumptions` then conjoin (AllOf) over `[support doubt,
 /// assumption doubts…]`. Child-outer and lane-inner, each lane makes the
 /// scalar operations in the scalar order while the lane loops vectorize.
-/// The folds never read each other: [`Folds::Independent`] leaves `out`'s
-/// other rows (which may be empty) untouched.
+/// The three folds never read each other, so an empty row of `out` skips
+/// its field: the importance sweep passes only the independence row.
 #[inline(always)]
 pub(crate) fn fold<'a>(
     rule: Combination,
     support: impl Iterator<Item = u32>,
     assumptions: impl Iterator<Item = u32>,
-    folds: Folds,
     child: impl Fn(u32) -> Lanes<'a>,
     [ind, worst, best]: [&mut [f64]; 3],
 ) {
     let any_of = rule == Combination::AnyOf;
-    let [worst, best] = if folds == Folds::All { [worst, best] } else { [&mut [][..], &mut []] };
     ind.fill(1.0);
     worst.fill(if any_of { f64::INFINITY } else { -0.0 });
     best.fill(if any_of { -0.0 } else { 0.0 });
@@ -225,7 +215,6 @@ fn map(row: &mut [f64], f: impl Fn(f64) -> f64) {
 pub(crate) fn fold_ir<'a>(
     ir: &CaseIr,
     i: usize,
-    folds: Folds,
     child: impl Fn(u32) -> Lanes<'a>,
     out: [&mut [f64]; 3],
 ) {
@@ -236,7 +225,7 @@ pub(crate) fn fold_ir<'a>(
     let assumption = |c: &u32| matches!(ir.kind(*c as usize), IrKind::Assumption(_));
     let children = ir.children(i).iter().copied();
     let support = children.clone().filter(|c| !assumption(c));
-    fold(rule, support, children.filter(assumption), folds, child, out);
+    fold(rule, support, children.filter(assumption), child, out);
 }
 
 /// Node `i`'s confidence: [`fold_ir`] at `W = 1` over its children's
@@ -254,7 +243,7 @@ pub(crate) fn eval_node(
     let value =
         |c: u32| Lanes::Splat(values[c as usize].expect("children evaluated before parents"));
     let [mut ind, mut worst, mut best] = [[0.0]; 3];
-    fold_ir(ir, i, Folds::All, value, [&mut ind, &mut worst, &mut best]);
+    fold_ir(ir, i, value, [&mut ind, &mut worst, &mut best]);
     NodeConfidence { independent: ind[0], worst_case: worst[0], best_case: best[0] }
 }
 

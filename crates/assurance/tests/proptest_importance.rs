@@ -89,9 +89,10 @@ fn random_case(seed: u64, size: usize) -> Case {
 
 /// `case` with what [`random_case`] rarely draws, from a second stream
 /// of `seed`: a sibling group wider than any lane block (20–40 leaves,
-/// assumptions among them), a leaf shared by two parents, an orphan
-/// evidence leaf, a goal supported only by assumptions, an AnyOf with one
-/// support child and an assumption that supports a leaf of its own.
+/// assumptions among them), a leaf shared by two distinct parents (when
+/// the case has two interior nodes), an orphan evidence leaf, a goal
+/// supported only by assumptions, an AnyOf with one support child and an
+/// assumption that supports a leaf of its own.
 fn widened(mut case: Case, seed: u64) -> Case {
     let mut rng = seed ^ 0x3c6e_f372_fe94_f82b;
     let interior: Vec<NodeId> = case
@@ -112,8 +113,13 @@ fn widened(mut case: Case, seed: u64) -> Case {
         case.support(wide, leaf.unwrap()).unwrap();
     }
     let shared = case.add_evidence("X_shared", "evidence", conf(&mut rng)).unwrap();
-    case.support(pick(&mut rng), shared).unwrap();
-    case.support(pick(&mut rng), shared).unwrap();
+    let first = below(&mut rng, interior.len());
+    case.support(interior[first], shared).unwrap();
+    if interior.len() > 1 {
+        // Any interior node but the first.
+        let second = (first + 1 + below(&mut rng, interior.len() - 1)) % interior.len();
+        case.support(interior[second], shared).unwrap();
+    }
     case.add_evidence("X_orphan", "evidence", conf(&mut rng)).unwrap();
     let assumed = case.add_goal("X_assumed", "claim").unwrap();
     case.support(pick(&mut rng), assumed).unwrap();

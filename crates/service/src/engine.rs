@@ -1653,15 +1653,24 @@ impl Engine {
         let mut fields = case_header(&entry);
         fields.push(("root_confidence".to_string(), Value::F64(top.independent)));
         fields.push(("pfd_bound".to_string(), Value::F64(pfd_bound)));
-        let mode = match mode {
-            depcase::sil::DemandMode::LowDemand => "low_demand",
-            depcase::sil::DemandMode::HighDemand => "high_demand",
-        };
-        fields.push(("mode".to_string(), Value::Str(mode.to_string())));
+        fields.push((
+            "mode".to_string(),
+            Value::Str(
+                match mode {
+                    depcase::sil::DemandMode::LowDemand => "low_demand",
+                    depcase::sil::DemandMode::HighDemand => "high_demand",
+                }
+                .to_string(),
+            ),
+        ));
         fields.push(("bands".to_string(), Value::Array(rows)));
-        let most_probable =
-            probabilities.most_probable().map(|level| Value::Str(level.to_string()));
-        fields.push(("most_probable".to_string(), most_probable.unwrap_or(Value::Null)));
+        fields.push((
+            "most_probable".to_string(),
+            match probabilities.most_probable() {
+                Some(level) => Value::Str(level.to_string()),
+                None => Value::Null,
+            },
+        ));
         Ok(Value::Object(fields))
     }
 
